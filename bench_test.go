@@ -567,27 +567,6 @@ func BenchmarkEngineClassify(b *testing.B) {
 
 // ------------------------------------------------ Sharded engine (PR 2)
 
-// benchConcurrentEngine streams the capture through the single-worker
-// Concurrent wrapper — the pre-sharding scaling ceiling.
-func benchConcurrentEngine(b *testing.B, batch int) {
-	cfg, live := benchStreamShape(b)
-	cfg.BatchSize = batch
-	flows := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c, err := pipeline.NewConcurrent(cfg, 1024)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for p := range live.Packets {
-			c.Feed(live.Packets[p])
-		}
-		c.Close()
-		flows = c.Stats().Flows
-	}
-	b.ReportMetric(float64(flows)*float64(b.N)/b.Elapsed().Seconds(), "flows/s")
-}
-
 // benchShardedEngine streams the capture through the flow-sharded
 // multi-core engine with the given shard count.
 func benchShardedEngine(b *testing.B, shards, batch int) {
@@ -611,12 +590,12 @@ func benchShardedEngine(b *testing.B, shards, batch int) {
 }
 
 // BenchmarkShardedClassify measures streaming throughput of the
-// flow-sharded engine at 1/2/4/8 shards against the single-worker
-// Concurrent baseline, all with 64-flow micro-batches (the BENCH_1 fast
+// flow-sharded engine at 1/2/4/8 shards against the synchronous Engine
+// baseline, all with 64-flow micro-batches (the BENCH_1 fast
 // configuration). Scaling tracks available cores: on a 1-CPU host every
-// variant is ingress-bound and roughly flat.
+// sharded variant is ingress-bound and roughly flat.
 func BenchmarkShardedClassify(b *testing.B) {
-	b.Run("concurrent", func(b *testing.B) { benchConcurrentEngine(b, 64) })
+	b.Run("engine", func(b *testing.B) { benchEngine(b, 64) })
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards%d", n), func(b *testing.B) { benchShardedEngine(b, n, 64) })
 	}
@@ -1033,7 +1012,7 @@ func TestWriteBenchJSON(t *testing.T) {
 }
 
 // TestWriteBench2JSON measures the flow-sharded multi-core engine against
-// the single-worker Concurrent baseline on the BENCH_1 engine shape and
+// the synchronous Engine baseline on the BENCH_1 engine shape and
 // snapshots the sweep to BENCH_2.json, after asserting that every
 // configuration produces bit-identical aggregate verdict counts. Shard
 // scaling tracks GOMAXPROCS, so the snapshot records it. Gated like
@@ -1050,8 +1029,8 @@ func TestWriteBench2JSON(t *testing.T) {
 	cfg, live := benchStream.cfg, benchStream.live
 	cfg.BatchSize = 64
 
-	// Verdict bit-identity: single engine vs Concurrent vs every shard
-	// count must agree on the aggregate per-class counts exactly.
+	// Verdict bit-identity: single engine vs every shard count must agree
+	// on the aggregate per-class counts exactly.
 	single, err := pipeline.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -1073,16 +1052,6 @@ func TestWriteBench2JSON(t *testing.T) {
 			}
 		}
 	}
-	conc, err := pipeline.NewConcurrent(cfg, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range live.Packets {
-		conc.Feed(live.Packets[i])
-	}
-	conc.Close()
-	check("concurrent", conc.Stats())
-
 	shardCounts := []int{1, 2, 4, 8}
 	for _, n := range shardCounts {
 		scfg := cfg
@@ -1099,8 +1068,8 @@ func TestWriteBench2JSON(t *testing.T) {
 	}
 
 	// Throughput sweep.
-	concRes := testing.Benchmark(func(b *testing.B) { benchConcurrentEngine(b, 64) })
-	concFPS := concRes.Extra["flows/s"]
+	engRes := testing.Benchmark(func(b *testing.B) { benchEngine(b, 64) })
+	engFPS := engRes.Extra["flows/s"]
 	shardFPS := map[string]float64{}
 	speedup := map[string]float64{}
 	for _, n := range shardCounts {
@@ -1108,17 +1077,17 @@ func TestWriteBench2JSON(t *testing.T) {
 		r := testing.Benchmark(func(b *testing.B) { benchShardedEngine(b, n, 64) })
 		key := fmt.Sprintf("%d", n)
 		shardFPS[key] = r.Extra["flows/s"]
-		speedup[key] = r.Extra["flows/s"] / concFPS
+		speedup[key] = r.Extra["flows/s"] / engFPS
 	}
 
 	report := map[string]any{
-		"shape":                    "BENCH_1 engine shape: CICIDS2017(1500)-trained 512-dim model, 400-session live capture, micro-batch 64",
-		"gomaxprocs":               runtime.GOMAXPROCS(0),
-		"concurrent_flows_per_sec": concFPS,
-		"sharded_flows_per_sec":    shardFPS,
-		"speedup_vs_concurrent":    speedup,
-		"verdicts_bit_identical":   true, // asserted above and by pipeline.TestShardedMatchesSingleEngine
-		"note":                     "shard scaling tracks GOMAXPROCS: with one core per shard the sweep approaches linear; on a single-CPU host all variants time-slice one core and measure ~1x",
+		"shape":                  "BENCH_1 engine shape: CICIDS2017(1500)-trained 512-dim model, 400-session live capture, micro-batch 64",
+		"gomaxprocs":             runtime.GOMAXPROCS(0),
+		"engine_flows_per_sec":   engFPS,
+		"sharded_flows_per_sec":  shardFPS,
+		"speedup_vs_engine":      speedup,
+		"verdicts_bit_identical": true, // asserted above and by pipeline.TestShardedMatchesSingleEngine
+		"note":                   "shard scaling tracks GOMAXPROCS: with one core per shard the sweep approaches linear; on a single-CPU host all variants time-slice one core and measure ~1x",
 	}
 	buf, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

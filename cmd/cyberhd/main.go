@@ -13,7 +13,7 @@
 //	cyberhd detect -capture traffic.cap -jsonl alerts.jsonl # O(1)-memory replay, JSONL alerts
 //	cyberhd detect -metrics :9090                          # live /metrics, /stats, /healthz
 //	cyberhd serve -listen 127.0.0.1:9301                   # cluster detector worker
-//	cyberhd ingest -workers 127.0.0.1:9301,127.0.0.1:9302  # fan a capture out across workers
+//	cyberhd detect -workers 127.0.0.1:9301,127.0.0.1:9302  # fan a capture out across workers
 package main
 
 import (
@@ -23,7 +23,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -58,8 +57,6 @@ func main() {
 		err = cmdDetect(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
-	case "ingest":
-		err = cmdIngest(os.Args[2:])
 	default:
 		usage()
 	}
@@ -70,7 +67,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: cyberhd <gen|train|quantize|faults|detect|serve|ingest> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: cyberhd <gen|train|quantize|faults|detect|serve> [flags]")
 	os.Exit(2)
 }
 
@@ -228,6 +225,12 @@ func cmdFaults(args []string) error {
 	return nil
 }
 
+// cmdDetect trains a detector and serves a capture through it: on a local
+// engine, or with -workers fanned out by flow hash across a cluster of
+// `cyberhd serve` workers. The two modes differ only in which Stream the
+// run drives, so their output is the same line for line — CI diffs the
+// summary line and the sorted JSONL alerts of the two to pin the
+// cluster's bit-identity contract.
 func cmdDetect(args []string) error {
 	fs := flag.NewFlagSet("detect", flag.ExitOnError)
 	trainSessions := fs.Int("train", 3000, "training capture size (sessions)")
@@ -235,21 +238,39 @@ func cmdDetect(args []string) error {
 	seed := fs.Uint64("seed", 42, "random seed")
 	capture := fs.String("capture", "", "replay a binary capture instead of generating live traffic (streamed in O(1) memory)")
 	pcap := fs.String("pcap", "", "replay a PCAP or pcapng capture through the decode stack (Ethernet/VLAN/IPv4/IPv6; streamed in O(1) memory)")
-	shards := fs.Int("shards", 1, "engine shards (1 = single in-process engine; 0 = one per core)")
+	workers := fs.String("workers", "", "comma-separated cluster worker addresses (cyberhd serve): fan the capture out across them instead of serving it locally")
+	shards := fs.Int("shards", 1, "engine shards (1 = single in-process engine; 0 = one per core); with -workers, the shards inside each worker (>= 1)")
 	batch := fs.Int("batch", 0, "micro-batch size per engine (0 = classify per flow)")
 	width := fs.Int("width", 0, "quantized inference bitwidth: 1, 2, 4, 8, 16 or 32 (0 = float32)")
 	tick := fs.Float64("tick", 1, "auto-tick interval in capture seconds (bounds batched-verdict delay; < 0 disables)")
 	overload := fs.String("overload", "lossless", "ingress admission policy: lossless (blocking, never drops) or bounded (bounded-latency admission with counted shedding)")
 	tenantRate := fs.Float64("tenant-rate", 0, "bounded mode: cap each tenant (v4 /24 or v6 /48 of the canonical flow key) at this many packets per capture second (0 disables)")
 	jsonl := fs.String("jsonl", "", "append alerts as JSON lines to this file ('-' = stdout)")
-	metricsAddr := fs.String("metrics", "", "serve live /metrics (Prometheus), /stats (JSON), /healthz and the /model control plane on this address for the whole run")
+	metricsAddr := fs.String("metrics", "", "serve live /metrics (Prometheus), /stats (JSON) and /healthz on this address for the whole run, plus the /model control plane locally; with -workers the counters are the cluster-wide rollup")
 	metricsLinger := fs.Float64("metrics-linger", 0, "keep the -metrics endpoint up this many seconds after the run (for scrapers that poll final counters)")
 	saveModel := fs.String("save-model", "", "write the trained model as a versioned snapshot to this file (load with the /model control plane or cyberhd.LoadModelSnapshotFile)")
-	progress := fs.Float64("progress", 0, "print a progress line to stderr every N capture seconds (0 disables)")
+	progress := fs.Float64("progress", 0, "print a progress line to stderr every N capture seconds (0 disables; local engine only)")
 	verbose := fs.Bool("v", false, "print every alert")
 	fs.Parse(args)
-	if *width != 0 && !bitpack.Width(*width).Valid() {
+	var fleet []string
+	for _, a := range strings.Split(*workers, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			fleet = append(fleet, a)
+		}
+	}
+	cluster := len(fleet) > 0
+	switch {
+	case *workers != "" && !cluster:
+		return fmt.Errorf("detect: -workers lists no addresses")
+	case cluster && *shards <= 0:
+		// The ingest node cannot see the workers' cores.
+		return fmt.Errorf("detect: -shards %d with -workers: give each worker's shard count explicitly (>= 1)", *shards)
+	case cluster && *progress > 0:
+		return fmt.Errorf("detect: -progress needs a local engine (poll the -metrics rollup with -workers)")
+	case *width != 0 && !bitpack.Width(*width).Valid():
 		return fmt.Errorf("detect: -width %d not one of %v", *width, bitpack.Widths)
+	case *capture != "" && *pcap != "":
+		return fmt.Errorf("detect: -capture and -pcap are mutually exclusive")
 	}
 	var pol cyberhd.OverloadPolicy
 	switch *overload {
@@ -265,27 +286,43 @@ func cmdDetect(args []string) error {
 	}
 
 	// Bind the admin endpoint before the (slow) training step: liveness is
-	// answerable immediately, counters read zero until serving starts. The
-	// /model control plane mounts lazily — it answers 503 until the
-	// detector exists, then hot-swaps in (one atomic pointer store).
-	// CIC-derived detectors label verdicts with the traffic labels.
+	// answerable immediately, counters read zero until serving starts.
+	// Locally the counters are the engine's collector and the /model
+	// control plane mounts lazily — it answers 503 until the detector
+	// exists, then hot-swaps in (one atomic pointer store). A cluster run
+	// serves the merged worker telemetry instead, read through an atomic
+	// pointer that flips to the live client once dialed; it mounts no
+	// /model, because the ingest node's control plane does not replicate
+	// to the workers. CIC-derived detectors label verdicts with the
+	// traffic labels.
 	classNames := traffic.LabelNames()
 	var tel *cyberhd.Telemetry
 	var metricsSrv *cyberhd.MetricsServer
 	var lazyPlane *lazyHandler
+	var clientPtr atomic.Pointer[cyberhd.ClusterClient]
 	if *metricsAddr != "" {
-		tel = cyberhd.NewTelemetry(classNames)
-		lazyPlane = &lazyHandler{}
-		srv, err := cyberhd.ServeMetricsWith(*metricsAddr, tel, map[string]http.Handler{
-			"/model":  lazyPlane,
-			"/model/": lazyPlane,
-		})
+		snapshot := func() cyberhd.TelemetrySnapshot {
+			if c := clientPtr.Load(); c != nil {
+				return c.MergedSnapshot()
+			}
+			return cyberhd.TelemetrySnapshot{Classes: classNames}
+		}
+		var extra map[string]http.Handler
+		banner := "cluster rollup endpoint: http://%s/metrics (also /stats, /healthz)\n"
+		if !cluster {
+			tel = cyberhd.NewTelemetry(classNames)
+			lazyPlane = &lazyHandler{}
+			snapshot = tel.Snapshot
+			extra = map[string]http.Handler{"/model": lazyPlane, "/model/": lazyPlane}
+			banner = "metrics endpoint: http://%s/metrics (also /stats, /healthz, /model)\n"
+		}
+		srv, err := cyberhd.ServeMetricsFrom(*metricsAddr, snapshot, extra)
 		if err != nil {
 			return err
 		}
 		metricsSrv = srv
 		defer metricsSrv.Close()
-		fmt.Printf("metrics endpoint: http://%s/metrics (also /stats, /healthz, /model)\n", srv.Addr())
+		fmt.Printf(banner, srv.Addr())
 	}
 
 	det, err := cyberhd.TrainDetector(cyberhd.CICIDS2017(*trainSessions, *seed), cyberhd.DefaultConfig())
@@ -293,15 +330,18 @@ func cmdDetect(args []string) error {
 		return err
 	}
 	fmt.Println("detector:", det)
-	k := cyberhd.Kernels()
-	fmt.Printf("kernels: float=%s packed=%s\n", k.Float, k.Packed)
+	if !cluster {
+		k := cyberhd.Kernels()
+		fmt.Printf("kernels: float=%s packed=%s\n", k.Float, k.Packed)
+	}
 
 	// The control plane serves through a COW wrapper over the trained
 	// model so uploads publish atomically against concurrent reads; the
-	// snapshot file captures the same publication.
+	// snapshot file captures the same publication, and a cluster
+	// replicates it to every worker.
 	var cow *cyberhd.COWModel
 	var tap *cyberhd.ShadowTap
-	if *saveModel != "" || lazyPlane != nil {
+	if *saveModel != "" || lazyPlane != nil || cluster {
 		cow = cyberhd.NewCOWModel(det.Model)
 	}
 	if *saveModel != "" {
@@ -323,9 +363,6 @@ func cmdDetect(args []string) error {
 
 	// Ingest: an O(1)-memory capture or PCAP replay, or generated live
 	// traffic.
-	if *capture != "" && *pcap != "" {
-		return fmt.Errorf("detect: -capture and -pcap are mutually exclusive")
-	}
 	var src cyberhd.PacketSource
 	var live *cyberhd.TrafficStream
 	var pcapSrc *cyberhd.PCAPFile
@@ -350,34 +387,14 @@ func cmdDetect(args []string) error {
 	}
 
 	// Egress: optional verbose printing and JSONL export ride along as
-	// alert sinks on the one serving path.
-	opts := []cyberhd.EngineOption{
-		cyberhd.WithBatchSize(*batch),
-		cyberhd.WithQuantized(cyberhd.Width(*width)),
-		cyberhd.WithShards(*shards),
-		cyberhd.WithTickInterval(*tick),
-		cyberhd.WithOverloadPolicy(pol),
-	}
-	if tel != nil {
-		opts = append(opts, cyberhd.WithTelemetry(tel))
-	}
-	if cow != nil {
-		opts = append(opts, cyberhd.WithModel(cow))
-	}
-	if tap != nil {
-		opts = append(opts, cyberhd.WithShadow(tap))
-	}
-	if *progress > 0 {
-		opts = append(opts, cyberhd.WithProgress(*progress, func(s cyberhd.TelemetrySnapshot) {
-			fmt.Fprintf(os.Stderr, "progress: %d packets, %d flows, %d alerts (%d pending)\n",
-				s.Packets, s.Flows, s.Alerts, s.Pending())
-		}))
-	}
+	// alert sinks on the one serving path (merged across workers in a
+	// cluster).
+	var sinks []cyberhd.AlertSink
 	if *verbose {
-		opts = append(opts, cyberhd.WithSinks(cyberhd.SinkFunc(func(a cyberhd.Alert) {
+		sinks = append(sinks, cyberhd.SinkFunc(func(a cyberhd.Alert) {
 			fmt.Printf("ALERT t=%9.2fs %-12s %4d pkts %9.0f bytes\n",
 				a.Time, a.ClassName, a.Flow.TotalPackets(), a.Flow.TotalBytes())
-		})))
+		}))
 	}
 	var jsonlSink *cyberhd.JSONLSink
 	var jsonlFile *os.File
@@ -393,19 +410,69 @@ func cmdDetect(args []string) error {
 			w = f
 		}
 		jsonlSink = cyberhd.NewJSONLSink(w)
-		opts = append(opts, cyberhd.WithSinks(jsonlSink))
+		sinks = append(sinks, jsonlSink)
 	}
 	if *width != 0 {
 		fmt.Printf("quantized inference: %d-bit packed class memory\n", *width)
 	}
-	// Mirror the runner's shard resolution (0 = one per core; a resolved
-	// count of 1 serves the plain single-core engine).
-	if n := *shards; n != 1 {
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
+
+	// Build the stream the run drives: a cluster client behind the
+	// admission gate — shed at ingress, before the transport spends
+	// anything on the packet, exactly where the gate sits in front of a
+	// local engine — or the local engine NewServeRunner builds.
+	var runner *cyberhd.Runner
+	var client *cyberhd.ClusterClient
+	if cluster {
+		client, err = cyberhd.DialCluster(cyberhd.ClusterConfig{
+			Workers:      fleet,
+			Model:        cow,
+			Normalizer:   det.Normalizer,
+			ClassNames:   det.ClassNames,
+			BatchSize:    *batch,
+			Width:        cyberhd.Width(*width),
+			WorkerShards: *shards,
+			Sinks:        sinks,
+		})
+		if err != nil {
+			return err
 		}
-		if n > 1 {
-			fmt.Printf("sharded engine: %d flow-hash shards\n", n)
+		clientPtr.Store(client)
+		fmt.Printf("cluster: %d workers, flow-hash fan-out\n", len(fleet))
+		stream := cyberhd.Stream(client)
+		if pol.Mode == cyberhd.OverloadBounded {
+			stream = cyberhd.NewGate(client, pol)
+		}
+		runner = &cyberhd.Runner{Stream: stream, Source: src, TickInterval: *tick}
+	} else {
+		opts := []cyberhd.EngineOption{
+			cyberhd.WithBatchSize(*batch),
+			cyberhd.WithQuantized(cyberhd.Width(*width)),
+			cyberhd.WithShards(*shards),
+			cyberhd.WithTickInterval(*tick),
+			cyberhd.WithOverloadPolicy(pol),
+			cyberhd.WithSinks(sinks...),
+		}
+		if tel != nil {
+			opts = append(opts, cyberhd.WithTelemetry(tel))
+		}
+		if cow != nil {
+			opts = append(opts, cyberhd.WithModel(cow))
+		}
+		if tap != nil {
+			opts = append(opts, cyberhd.WithShadow(tap))
+		}
+		if *progress > 0 {
+			opts = append(opts, cyberhd.WithProgress(*progress, func(s cyberhd.TelemetrySnapshot) {
+				fmt.Fprintf(os.Stderr, "progress: %d packets, %d flows, %d alerts (%d pending)\n",
+					s.Packets, s.Flows, s.Alerts, s.Pending())
+			}))
+		}
+		cfg := det.EngineConfig(opts...)
+		if runner, err = cyberhd.NewServeRunner(cfg, src); err != nil {
+			return err
+		}
+		if cfg.Shards > 1 {
+			fmt.Printf("sharded engine: %d flow-hash shards\n", cfg.Shards)
 		}
 	}
 	if pol.Mode == cyberhd.OverloadBounded {
@@ -419,12 +486,18 @@ func cmdDetect(args []string) error {
 		fmt.Println("overload policy: lossless (blocking ingress, never drops)")
 	}
 
-	st, err := cyberhd.Serve(context.Background(), det, src, opts...)
+	st, err := runner.Run(context.Background())
 	if err != nil {
 		return err
 	}
-	// A failed alert export must fail the run: a truncated JSONL file that
-	// exits 0 looks like a successful export to anything scripted on top.
+	// A lost worker connection or a failed alert export must fail the
+	// run: a cluster that dropped packets, or a truncated JSONL file,
+	// exiting 0 looks like a successful run to anything scripted on top.
+	if client != nil {
+		if err := client.Err(); err != nil {
+			return fmt.Errorf("cluster transport: %w", err)
+		}
+	}
 	if jsonlSink != nil {
 		if err := jsonlSink.Err(); err != nil {
 			return fmt.Errorf("jsonl sink: %w", err)
@@ -445,6 +518,13 @@ func cmdDetect(args []string) error {
 		fmt.Printf("dropped %d packets (backpressure=%d new_flow_shed=%d tenant_rate=%d)\n",
 			st.DroppedTotal(), st.Dropped[cyberhd.DropBackpressure],
 			st.Dropped[cyberhd.DropNewFlowShed], st.Dropped[cyberhd.DropTenantRate])
+	}
+	if client != nil {
+		sent := client.SentPerWorker()
+		versions := client.WorkerVersions()
+		for i, addr := range client.WorkerAddrs() {
+			fmt.Printf("worker %s: %d packets, serving model version %d\n", addr, sent[i], versions[i])
+		}
 	}
 	if tel != nil {
 		s := tel.Snapshot()
@@ -513,8 +593,8 @@ func cmdDetect(args []string) error {
 }
 
 // cmdServe runs one cluster detector worker: session configuration and
-// model arrive over the wire from the ingest node, so the worker itself
-// trains nothing and takes almost no flags.
+// model arrive over the wire from the ingest node (detect -workers), so
+// the worker itself trains nothing and takes almost no flags.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	listen := fs.String("listen", "127.0.0.1:9301", "TCP listen address for ingest connections")
@@ -532,208 +612,6 @@ func cmdServe(args []string) error {
 	}
 	fmt.Printf("cluster worker listening on %s\n", w.Addr())
 	return w.Serve()
-}
-
-// cmdIngest trains a detector exactly like detect, then fans the capture
-// out across a worker fleet instead of a local engine. The summary line
-// is detect's, byte for byte — CI diffs the two to pin the cluster's
-// bit-identity contract.
-func cmdIngest(args []string) error {
-	fs := flag.NewFlagSet("ingest", flag.ExitOnError)
-	workers := fs.String("workers", "", "comma-separated worker addresses (required)")
-	trainSessions := fs.Int("train", 3000, "training capture size (sessions)")
-	liveSessions := fs.Int("sessions", 1000, "live capture size (sessions)")
-	seed := fs.Uint64("seed", 42, "random seed")
-	capture := fs.String("capture", "", "replay a binary capture instead of generating live traffic (streamed in O(1) memory)")
-	pcap := fs.String("pcap", "", "replay a PCAP or pcapng capture through the decode stack (Ethernet/VLAN/IPv4/IPv6; streamed in O(1) memory)")
-	batch := fs.Int("batch", 0, "micro-batch size per worker engine (0 = classify per flow)")
-	width := fs.Int("width", 0, "quantized inference bitwidth on each worker: 1, 2, 4, 8, 16 or 32 (0 = float32)")
-	workerShards := fs.Int("worker-shards", 1, "engine shards inside each worker (1 = single engine per worker)")
-	tick := fs.Float64("tick", 1, "auto-tick interval in capture seconds, broadcast to every worker (< 0 disables)")
-	overload := fs.String("overload", "lossless", "ingress admission policy: lossless (blocking, never drops) or bounded (bounded-latency admission with counted shedding)")
-	tenantRate := fs.Float64("tenant-rate", 0, "bounded mode: cap each tenant (v4 /24 or v6 /48 of the canonical flow key) at this many packets per capture second (0 disables)")
-	jsonl := fs.String("jsonl", "", "append merged alerts as JSON lines to this file ('-' = stdout)")
-	metricsAddr := fs.String("metrics", "", "serve the cluster-wide rollup /metrics (Prometheus), /stats (JSON) and /healthz on this address")
-	metricsLinger := fs.Float64("metrics-linger", 0, "keep the -metrics endpoint up this many seconds after the run")
-	verbose := fs.Bool("v", false, "print every merged alert")
-	fs.Parse(args)
-	if *workers == "" {
-		return fmt.Errorf("ingest: -workers required (comma-separated host:port list)")
-	}
-	var fleet []string
-	for _, a := range strings.Split(*workers, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			fleet = append(fleet, a)
-		}
-	}
-	if len(fleet) == 0 {
-		return fmt.Errorf("ingest: -workers lists no addresses")
-	}
-	if *width != 0 && !bitpack.Width(*width).Valid() {
-		return fmt.Errorf("ingest: -width %d not one of %v", *width, bitpack.Widths)
-	}
-	var pol cyberhd.OverloadPolicy
-	switch *overload {
-	case "lossless":
-		if *tenantRate > 0 {
-			return fmt.Errorf("ingest: -tenant-rate requires -overload bounded (lossless never drops)")
-		}
-	case "bounded":
-		pol.Mode = cyberhd.OverloadBounded
-		pol.TenantRate = *tenantRate
-	default:
-		return fmt.Errorf("ingest: -overload %q not one of lossless, bounded", *overload)
-	}
-
-	// Bind the rollup endpoint before the (slow) training step. Counters
-	// come from the merged worker telemetry, so the handler reads through
-	// an atomic pointer that flips from an empty snapshot to the live
-	// cluster once dialed.
-	var clientPtr atomic.Pointer[cyberhd.ClusterClient]
-	if *metricsAddr != "" {
-		srv, err := cyberhd.ServeMetricsFrom(*metricsAddr, func() cyberhd.TelemetrySnapshot {
-			if c := clientPtr.Load(); c != nil {
-				return c.MergedSnapshot()
-			}
-			return cyberhd.TelemetrySnapshot{Classes: traffic.LabelNames()}
-		}, nil)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Printf("cluster rollup endpoint: http://%s/metrics (also /stats, /healthz)\n", srv.Addr())
-	}
-
-	det, err := cyberhd.TrainDetector(cyberhd.CICIDS2017(*trainSessions, *seed), cyberhd.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	fmt.Println("detector:", det)
-
-	// Egress sinks ride on the merged alert stream, same as detect.
-	var sinks []cyberhd.AlertSink
-	if *verbose {
-		sinks = append(sinks, cyberhd.SinkFunc(func(a cyberhd.Alert) {
-			fmt.Printf("ALERT t=%9.2fs %-12s %4d pkts %9.0f bytes\n",
-				a.Time, a.ClassName, a.Flow.TotalPackets(), a.Flow.TotalBytes())
-		}))
-	}
-	var jsonlSink *cyberhd.JSONLSink
-	var jsonlFile *os.File
-	if *jsonl != "" {
-		w := io.Writer(os.Stdout)
-		if *jsonl != "-" {
-			f, err := os.Create(*jsonl)
-			if err != nil {
-				return err
-			}
-			jsonlFile = f
-			defer f.Close() // backstop for error returns; success path closes and checks below
-			w = f
-		}
-		jsonlSink = cyberhd.NewJSONLSink(w)
-		sinks = append(sinks, jsonlSink)
-	}
-
-	client, err := cyberhd.DialCluster(cyberhd.ClusterConfig{
-		Workers:      fleet,
-		Model:        cyberhd.NewCOWModel(det.Model),
-		Normalizer:   det.Normalizer,
-		ClassNames:   det.ClassNames,
-		BatchSize:    *batch,
-		Width:        cyberhd.Width(*width),
-		WorkerShards: *workerShards,
-		Sinks:        sinks,
-	})
-	if err != nil {
-		return err
-	}
-	clientPtr.Store(client)
-	fmt.Printf("cluster: %d workers, flow-hash fan-out\n", len(fleet))
-	if *width != 0 {
-		fmt.Printf("quantized inference: %d-bit packed class memory\n", *width)
-	}
-
-	if *capture != "" && *pcap != "" {
-		return fmt.Errorf("ingest: -capture and -pcap are mutually exclusive")
-	}
-	var src cyberhd.PacketSource
-	var pcapSrc *cyberhd.PCAPFile
-	if *pcap != "" {
-		pf, err := cyberhd.OpenPCAP(*pcap)
-		if err != nil {
-			return err
-		}
-		defer pf.Close()
-		src = pf
-		pcapSrc = pf
-	} else if *capture != "" {
-		cf, err := cyberhd.OpenCapture(*capture)
-		if err != nil {
-			return err
-		}
-		defer cf.Close()
-		src = cf
-	} else {
-		live := cyberhd.GenerateTraffic(cyberhd.TrafficConfig{Sessions: *liveSessions, Seed: *seed + 1})
-		src = cyberhd.NewSliceSource(live.Packets)
-	}
-
-	// The admission gate sits between the source and the fan-out stream,
-	// exactly where it sits in front of a local engine: shed at ingress,
-	// before the cluster transport spends anything on the packet.
-	stream := cyberhd.Stream(client)
-	if pol.Mode == cyberhd.OverloadBounded {
-		stream = cyberhd.NewGate(client, pol)
-		if pol.TenantRate > 0 {
-			fmt.Printf("overload policy: bounded (max-wait %v, tenant-rate %g pkt/s per v4 /24 or v6 /48)\n",
-				pipeline.DefaultMaxWait, pol.TenantRate)
-		} else {
-			fmt.Printf("overload policy: bounded (max-wait %v)\n", pipeline.DefaultMaxWait)
-		}
-	} else {
-		fmt.Println("overload policy: lossless (blocking ingress, never drops)")
-	}
-
-	st, err := (&cyberhd.Runner{Stream: stream, Source: src, TickInterval: *tick}).Run(context.Background())
-	if err != nil {
-		return err
-	}
-	if err := client.Err(); err != nil {
-		return fmt.Errorf("cluster transport: %w", err)
-	}
-	if jsonlSink != nil {
-		if err := jsonlSink.Err(); err != nil {
-			return fmt.Errorf("jsonl sink: %w", err)
-		}
-		if jsonlFile != nil {
-			if err := jsonlFile.Close(); err != nil {
-				return err
-			}
-		}
-	}
-	fmt.Printf("\nprocessed %d packets -> %d flows, %d alerts\n", st.Packets, st.Flows, st.Alerts)
-	if pcapSrc != nil && pcapSrc.Skipped() > 0 {
-		fmt.Printf("pcap: skipped %d frames outside the decode stack\n", pcapSrc.Skipped())
-	}
-	if pol.Mode == cyberhd.OverloadBounded {
-		// Always printed in bounded mode (even when zero): the accounting
-		// line CI greps, offered = processed + dropped. Byte-identical to
-		// detect's line so the two paths diff clean.
-		fmt.Printf("dropped %d packets (backpressure=%d new_flow_shed=%d tenant_rate=%d)\n",
-			st.DroppedTotal(), st.Dropped[cyberhd.DropBackpressure],
-			st.Dropped[cyberhd.DropNewFlowShed], st.Dropped[cyberhd.DropTenantRate])
-	}
-	sent := client.SentPerWorker()
-	versions := client.WorkerVersions()
-	for i, addr := range client.WorkerAddrs() {
-		fmt.Printf("worker %s: %d packets, serving model version %d\n", addr, sent[i], versions[i])
-	}
-	if *metricsAddr != "" && *metricsLinger > 0 {
-		fmt.Printf("rollup endpoint stays up %.0fs\n", *metricsLinger)
-		time.Sleep(time.Duration(*metricsLinger * float64(time.Second)))
-	}
-	return nil
 }
 
 // lazyHandler lets the admin endpoint bind before the control plane

@@ -124,9 +124,9 @@ func (wc *workerConn) fail(err error) {
 //
 // Ingestion is lossless-blocking like the in-process engines: a slow
 // worker exerts TCP backpressure on Feed rather than dropping. TryFeed
-// and FeedWithin therefore admit whenever the client is open — bounded
-// admission belongs on a Gate in front of the client, exactly as with
-// local engines.
+// and FeedWithin therefore admit whenever the client is open and the
+// packet's worker connection is healthy — bounded admission belongs on a
+// Gate in front of the client, exactly as with local engines.
 type Client struct {
 	cfg   ClientConfig
 	conns []*workerConn
@@ -393,9 +393,11 @@ func (wc *workerConn) broken() bool {
 
 // TryFeed feeds p, reporting admission. The network client is
 // lossless-blocking like the local engines' Feed, so admission succeeds
-// whenever the client is open; false after Close.
+// whenever the client is open — false after Close, and false when p's
+// worker connection has latched an error (Feed would discard the
+// packet), so a Gate in front counts it as a drop.
 func (c *Client) TryFeed(p netflow.Packet) bool {
-	if c.closed.Load() {
+	if c.closed.Load() || c.route(&p).broken() {
 		return false
 	}
 	c.Feed(p)
@@ -452,7 +454,7 @@ func (c *Client) Flush() {
 
 // Close sends bye to every worker, then waits for each to drain its
 // engine, deliver every remaining alert, report settled telemetry and
-// close the session. After Close, Stats/Snapshot are exact cluster-wide
+// close the session. After Close, Stats are exact cluster-wide
 // totals. Idempotent; Feed/Tick/Flush after Close are defined no-ops.
 func (c *Client) Close() {
 	c.closeOnce.Do(func() {
@@ -519,9 +521,6 @@ func (c *Client) MergedSnapshot() telemetry.Snapshot {
 func (c *Client) Stats() pipeline.Stats {
 	return statsOfSnapshot(c.MergedSnapshot())
 }
-
-// Snapshot is Stats under the live-observability name; identical.
-func (c *Client) Snapshot() pipeline.Stats { return c.Stats() }
 
 // Telemetry returns nil: the cluster's telemetry is the merge of remote
 // collectors, served via MergedSnapshot (telemetry.HandlerFrom), not one

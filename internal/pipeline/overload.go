@@ -185,8 +185,8 @@ func (p OverloadPolicy) withDefaults() OverloadPolicy {
 	return p
 }
 
-// occupier is the queue-pressure probe the concurrent engines expose:
-// current fill and capacity of the (fullest) ingress buffer.
+// occupier is the queue-pressure probe the Sharded engine exposes:
+// current fill and capacity of the fullest shard's ingress buffer.
 type occupier interface{ occupancy() (int, int) }
 
 // tokenBucket is one tenant's admission budget on the capture clock.
@@ -253,7 +253,7 @@ var _ Stream = (*Gate)(nil)
 // OverloadBounded — a lossless run simply does not install a gate).
 // The gate shares inner's telemetry collector; when the wrapped stream
 // exposes none (a cluster ingest client, say) the gate keeps a private
-// collector so drops still count, and folds them into Stats/Snapshot.
+// collector so drops still count, and folds them into Stats.
 func NewGate(inner Stream, pol OverloadPolicy) *Gate {
 	pol.Mode = OverloadBounded
 	defaultTenantKey := pol.TenantKey == nil
@@ -542,9 +542,6 @@ func (g *Gate) Close() { g.inner.Close() }
 // engine share one collector; a gate-private collector's drops are
 // folded in).
 func (g *Gate) Stats() Stats { return g.foldDrops(g.inner.Stats()) }
-
-// Snapshot reads the wrapped stream's counters — identical to Stats.
-func (g *Gate) Snapshot() Stats { return g.foldDrops(g.inner.Snapshot()) }
 
 // foldDrops merges the gate's private drop counters into a wrapped
 // stream's stats when the two do not share a collector.

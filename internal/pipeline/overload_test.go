@@ -95,33 +95,58 @@ func TestTryFeedEngineAlwaysAdmits(t *testing.T) {
 	}
 }
 
-// fillConcurrent wedges a channel-fed stream: an RST-terminated flow
-// blocks the worker inside Predict (termination is only checked from a
-// flow's second packet on), then one more packet fills the 1-slot
-// buffer. Three packets offered, all admitted.
-func fillConcurrent(t *testing.T, s Stream, m *blockingModel) {
+// fillShard wedges one shard of sh through s (sh itself, or a wrapper
+// feeding it): an RST-terminated flow blocks that shard's worker inside
+// Predict (termination is only checked from a flow's second packet on),
+// then one more packet, routed to the same shard, fills its 1-slot
+// buffer. Three packets offered, all admitted. It returns the wedged
+// shard's index.
+func fillShard(t *testing.T, s Stream, sh *Sharded, m *blockingModel) int {
 	t.Helper()
-	s.Feed(tcpPkt(1, 2, 10, 20, 0.1, 0))
+	first := tcpPkt(1, 2, 10, 20, 0.1, 0)
+	wedged := shardOf(sh, first)
+	s.Feed(first)
 	s.Feed(tcpPkt(1, 2, 10, 20, 0.2, netflow.RST)) // terminates the flow -> Predict blocks
 	select {
 	case <-m.entered:
 	case <-time.After(5 * time.Second):
 		t.Fatal("worker never reached Predict")
 	}
-	s.Feed(tcpPkt(1, 2, 11, 21, 0.3, 0)) // parks in the 1-slot buffer
+	s.Feed(pktOnShard(sh, wedged, true, 0.3)) // parks in the 1-slot buffer
+	return wedged
+}
+
+// shardOf is the shard Sharded routes p to.
+func shardOf(s *Sharded, p netflow.Packet) int {
+	return int(p.ShardKey() % uint64(s.NumShards()))
+}
+
+// pktOnShard returns the first fresh flow (source port from 11 up) that
+// does (onShard) or does not route to shard i.
+func pktOnShard(s *Sharded, i int, onShard bool, at float64) netflow.Packet {
+	for sport := uint16(11); ; sport++ {
+		p := tcpPkt(1, 2, sport, 21, at, 0)
+		if (shardOf(s, p) == i) == onShard {
+			return p
+		}
+	}
 }
 
 // TestTryFeedConcurrentFullBuffer pins the bounded-admission semantics
-// of the background-worker engine: a full ingress buffer refuses TryFeed
-// immediately and FeedWithin after its wait, and admission reopens when
-// the worker drains.
+// of the single background-worker engine (one shard): a full ingress
+// buffer refuses TryFeed immediately and FeedWithin after its wait,
+// admission reopens when the worker drains, and post-Close both variants
+// return false.
 func TestTryFeedConcurrentFullBuffer(t *testing.T) {
 	m := &blockingModel{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	c, err := NewConcurrent(fastCfg(m), 1)
+	cfg := fastCfg(m)
+	cfg.Shards = 1
+	cfg.ShardBuffer = 1
+	c, err := NewSharded(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fillConcurrent(t, c, m)
+	fillShard(t, c, c, m)
 	p := tcpPkt(1, 2, 12, 22, 0.4, 0)
 	if c.TryFeed(p) {
 		t.Fatal("TryFeed admitted into a full buffer")
@@ -142,30 +167,37 @@ func TestTryFeedConcurrentFullBuffer(t *testing.T) {
 	}
 }
 
-// TestTryFeedShardedFullBuffer is the sharded spelling of the same
-// contract: the target shard's full buffer refuses, and post-Close both
-// variants return false.
+// TestTryFeedShardedFullBuffer is the multi-shard spelling of the same
+// contract: only the target shard's full buffer refuses — a flow routed
+// to another shard is still admitted — and post-Close both variants
+// return false.
 func TestTryFeedShardedFullBuffer(t *testing.T) {
 	m := &blockingModel{entered: make(chan struct{}, 1), release: make(chan struct{})}
 	cfg := fastCfg(m)
-	cfg.Shards = 1
+	cfg.Shards = 2
 	cfg.ShardBuffer = 1
 	s, err := NewSharded(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fillConcurrent(t, s, m)
-	p := tcpPkt(1, 2, 12, 22, 0.4, 0)
+	wedged := fillShard(t, s, s, m)
+	p := pktOnShard(s, wedged, true, 0.4)
 	if s.TryFeed(p) {
 		t.Fatal("TryFeed admitted into a full shard buffer")
 	}
 	if s.FeedWithin(p, 2*time.Millisecond) {
 		t.Fatal("FeedWithin admitted into a shard buffer that stayed full")
 	}
+	if !s.TryFeed(pktOnShard(s, wedged, false, 0.4)) {
+		t.Fatal("TryFeed refused a flow bound for a shard that is not full")
+	}
 	close(m.release)
 	s.Close()
 	if s.TryFeed(p) || s.FeedWithin(p, time.Millisecond) {
 		t.Fatal("admission variants admitted after Close")
+	}
+	if got := s.Stats().Packets; got != 4 {
+		t.Fatalf("Packets = %d, want 4", got)
 	}
 }
 
@@ -277,7 +309,9 @@ func TestGateShedsNewFlowsUnderLatency(t *testing.T) {
 // the refusal counts as backpressure (with the callback observing it).
 func TestGateBackpressureCounted(t *testing.T) {
 	m := &blockingModel{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	c, err := NewConcurrent(fastCfg(m), 1)
+	cfg := fastCfg(m)
+	cfg.Shards, cfg.ShardBuffer = 1, 1
+	c, err := NewSharded(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +320,7 @@ func TestGateBackpressureCounted(t *testing.T) {
 		MaxWait: time.Millisecond,
 		OnDrop:  func(_ netflow.Packet, r telemetry.DropReason) { reasons = append(reasons, r) },
 	})
-	fillConcurrent(t, g, m)
+	fillShard(t, g, c, m)
 	g.Feed(tcpPkt(1, 2, 12, 22, 0.4, 0)) // buffer full: waits MaxWait, then drops
 	if got := g.Stats().Dropped[telemetry.DropBackpressure]; got != 1 {
 		t.Fatalf("backpressure drops = %d, want 1", got)
@@ -582,8 +616,8 @@ func TestGatePrivateTelemetryAndV6TenantLabels(t *testing.T) {
 	if st.Dropped[telemetry.DropTenantRate] != 9 {
 		t.Fatalf("tenant-rate drops = %d, want 9", st.Dropped[telemetry.DropTenantRate])
 	}
-	if got := g.Snapshot().DroppedTotal(); got != 9 {
-		t.Fatalf("Snapshot folded %d drops, want 9", got)
+	if got := st.DroppedTotal(); got != 9 {
+		t.Fatalf("Stats folded %d drops, want 9", got)
 	}
 	labels := map[string]int64{}
 	for _, td := range g.Telemetry().Snapshot().DroppedByTenant {

@@ -4,10 +4,10 @@
 // verdicts raise alerts.
 //
 // The engine core is synchronous and deterministic (testable, and fast
-// enough that HDC inference is never the bottleneck); Concurrent wraps it
-// with a goroutine stage for deployments that want packet ingestion
-// decoupled from classification, and Sharded hash-partitions flows across
-// per-core engines. All three implement the Stream contract, and Runner
+// enough that HDC inference is never the bottleneck); Sharded
+// hash-partitions flows across per-core engines, each on its own
+// goroutine (one shard decouples ingestion from classification). Both
+// implement the Stream contract, NewStream picks between them, and Runner
 // pumps any netflow.PacketSource through any Stream with alerts fanning
 // out to AlertSinks — the serving runtime of ARCHITECTURE.md.
 package pipeline
@@ -56,7 +56,7 @@ type Alert struct {
 }
 
 // Stats accumulates engine counters. Engines count through lock-free
-// telemetry collectors, so reading Stats (or Snapshot) is safe from any
+// telemetry collectors, so reading Stats is safe from any
 // goroutine at any time; after Close every counter is settled and exact.
 type Stats struct {
 	// Packets counts packets fed.
@@ -172,22 +172,22 @@ type Config struct {
 	// snapshots (the final settled snapshot still fires).
 	ProgressInterval float64
 	// Shards is the worker count of NewSharded (<= 0 selects
-	// runtime.GOMAXPROCS). NewRunner treats sharding as explicit: only
-	// Shards > 1 builds the sharded engine, anything else serves the
-	// deterministic single-core Engine — resolve "one per core" yourself
-	// (runtime.GOMAXPROCS(0), or the facade's WithShards(0)) before
-	// handing the config to a runner. Ignored by New and NewConcurrent.
+	// runtime.GOMAXPROCS). NewStream (and so NewRunner) treats sharding
+	// as explicit: only Shards > 1 builds the sharded engine, anything
+	// else serves the deterministic single-core Engine — resolve "one per
+	// core" yourself (runtime.GOMAXPROCS(0), or the facade's
+	// WithShards(0)) before handing the config over. Ignored by New.
 	Shards int
 	// ShardBuffer is the bounded ingress buffer per shard for NewSharded
-	// (<= 0 selects 1024). Ignored by New and NewConcurrent.
+	// (<= 0 selects 1024). Ignored by New.
 	ShardBuffer int
-	// Overload is the ingress admission policy applied by NewRunner (and
-	// the facade's Serve). The zero value is the lossless default: no gate
-	// is installed and serving is bit-identical to every release before
-	// the overload control plane existed. Overload.Mode == OverloadBounded
-	// wraps the engine in a Gate — see OverloadPolicy. Ignored by New,
-	// NewConcurrent and NewSharded themselves (wrap with NewGate by hand
-	// when driving an engine directly).
+	// Overload is the ingress admission policy applied by NewStream (and
+	// so by NewRunner and the facade's Serve). The zero value is the
+	// lossless default: no gate is installed and serving is bit-identical
+	// to every release before the overload control plane existed.
+	// Overload.Mode == OverloadBounded wraps the engine in a Gate — see
+	// OverloadPolicy. Ignored by New and NewSharded themselves (wrap with
+	// NewGate by hand when driving an engine directly).
 	Overload OverloadPolicy
 }
 
@@ -411,11 +411,7 @@ func (e *Engine) Close() {
 
 // Stats returns a snapshot of the engine counters. Safe from any
 // goroutine at any time (counters are atomic); exact after Close.
-func (e *Engine) Stats() Stats { return e.Snapshot() }
-
-// Snapshot reads the engine counters — identical to Stats, named for the
-// Stream contract's any-time read.
-func (e *Engine) Snapshot() Stats { return statsOf(e.tel.Snapshot()) }
+func (e *Engine) Stats() Stats { return statsOf(e.tel.Snapshot()) }
 
 // Telemetry returns the engine's collector for richer observation
 // (latency histogram, suppression totals, Prometheus export).
@@ -537,8 +533,8 @@ func (e *Engine) Feedback(f *netflow.Flow, label int) bool {
 }
 
 // feedbacker serializes online feedback against a shared model for the
-// goroutine-backed engines (Concurrent, Sharded), whose inner engines are
-// owned by workers and cannot take Feedback directly. Outcomes count into
+// goroutine-backed Sharded engine, whose inner engines are owned by
+// workers and cannot take Feedback directly. Outcomes count into
 // the engine's telemetry collector.
 type feedbacker struct {
 	mu  sync.Mutex
@@ -562,160 +558,4 @@ func (fb *feedbacker) apply(cfg *Config, f *netflow.Flow, label int) bool {
 		fb.tel.FeedbackUnchanged()
 	}
 	return changed
-}
-
-// Concurrent decouples packet ingestion from classification with a
-// bounded channel of ordered messages; Close drains and flushes.
-type Concurrent struct {
-	eng  *Engine
-	in   chan streamMsg
-	done chan struct{}
-	once sync.Once
-	fb   feedbacker
-
-	// closeMu makes Close safe against in-flight Feed/Tick/Flush: senders
-	// hold the read side, Close takes the write side before closing the
-	// channel, and post-Close sends become defined no-ops instead of
-	// "send on closed channel" panics.
-	closeMu sync.RWMutex
-	closed  bool
-}
-
-// NewConcurrent starts the background classification stage with the given
-// ingress buffer size (<= 0 selects 1024).
-func NewConcurrent(cfg Config, buffer int) (*Concurrent, error) {
-	eng, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if buffer <= 0 {
-		buffer = 1024
-	}
-	c := &Concurrent{
-		eng:  eng,
-		in:   make(chan streamMsg, buffer),
-		done: make(chan struct{}),
-	}
-	c.fb.tel = eng.tel
-	go func() {
-		defer close(c.done)
-		for m := range c.in {
-			eng.dispatch(m)
-		}
-		eng.Flush()
-	}()
-	return c, nil
-}
-
-// send enqueues one message unless the stream is closed (no-op then).
-func (c *Concurrent) send(m streamMsg) {
-	c.closeMu.RLock()
-	defer c.closeMu.RUnlock()
-	if c.closed {
-		return
-	}
-	c.in <- m
-}
-
-// trySend enqueues one message only when that cannot block, reporting
-// whether it was accepted; false when the stream is closed or the
-// buffer is full right now.
-func (c *Concurrent) trySend(m streamMsg) bool {
-	c.closeMu.RLock()
-	defer c.closeMu.RUnlock()
-	if c.closed {
-		return false
-	}
-	select {
-	case c.in <- m:
-		return true
-	default:
-		return false
-	}
-}
-
-// sendWithin enqueues one message, waiting at most wait for buffer
-// space. Like Feed, a waiting sender holds the close gate's read side,
-// so a concurrent Close waits out at most one admission bound.
-func (c *Concurrent) sendWithin(m streamMsg, wait time.Duration) bool {
-	if c.trySend(m) {
-		return true
-	}
-	if wait <= 0 {
-		return false
-	}
-	c.closeMu.RLock()
-	defer c.closeMu.RUnlock()
-	if c.closed {
-		return false
-	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case c.in <- m:
-		return true
-	case <-t.C:
-		return false
-	}
-}
-
-// occupancy reports the ingress buffer's fill and capacity — the
-// queue-pressure signal the overload gate's state machine polls.
-func (c *Concurrent) occupancy() (int, int) { return len(c.in), cap(c.in) }
-
-// Feed enqueues one packet (blocks when the buffer is full — lossless by
-// design; an IDS that silently drops packets hides exactly the traffic an
-// attacker would send). After Close it is a defined no-op.
-func (c *Concurrent) Feed(p netflow.Packet) { c.send(streamMsg{pkt: p}) }
-
-// TryFeed enqueues one packet only when that cannot block, reporting
-// whether it was admitted. False when the buffer is full or after Close.
-func (c *Concurrent) TryFeed(p netflow.Packet) bool { return c.trySend(streamMsg{pkt: p}) }
-
-// FeedWithin enqueues one packet, waiting at most wait for buffer space,
-// reporting whether it was admitted. False after Close.
-func (c *Concurrent) FeedWithin(p netflow.Packet, wait time.Duration) bool {
-	return c.sendWithin(streamMsg{pkt: p}, wait)
-}
-
-// Tick enqueues an idle-eviction tick at capture time now, ordered with
-// the packets around it. After Close it is a defined no-op.
-func (c *Concurrent) Tick(now float64) { c.send(streamMsg{tick: now, kind: msgTick}) }
-
-// Flush enqueues an end-of-capture flush, ordered with the packets around
-// it: all flows in progress at this point in the feed order complete and
-// classify. It does not wait — Close does. After Close it is a defined
-// no-op.
-func (c *Concurrent) Flush() { c.send(streamMsg{kind: msgFlush}) }
-
-// Close stops ingestion, flushes all flows, and waits for the worker.
-// Idempotent; every call waits for the full drain.
-func (c *Concurrent) Close() {
-	c.once.Do(func() {
-		c.closeMu.Lock()
-		c.closed = true
-		c.closeMu.Unlock()
-		close(c.in)
-	})
-	<-c.done
-}
-
-// Stats returns the engine counters. Safe from any goroutine at any time
-// (counters are atomic); exact after Close.
-func (c *Concurrent) Stats() Stats { return c.eng.Stats() }
-
-// Snapshot reads the engine counters — identical to Stats, named for the
-// Stream contract's any-time read.
-func (c *Concurrent) Snapshot() Stats { return c.eng.Snapshot() }
-
-// Telemetry returns the engine's collector for richer observation
-// (latency histogram, suppression totals, Prometheus export).
-func (c *Concurrent) Telemetry() *telemetry.Collector { return c.eng.tel }
-
-// Feedback applies one labeled flow to the model when it supports online
-// updates, returning true if the model changed. Safe from any goroutine —
-// including OnAlert callbacks — but concurrent safety against live
-// classification is the model's contract (use core.COWModel).
-func (c *Concurrent) Feedback(f *netflow.Flow, label int) bool {
-	return c.fb.apply(&c.eng.cfg, f, label)
 }

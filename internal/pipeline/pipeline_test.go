@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"bytes"
+	"sync"
 	"testing"
 
 	"cyberhd/internal/core"
@@ -10,25 +12,54 @@ import (
 	"cyberhd/internal/traffic"
 )
 
-// buildModel trains a detector on one capture and returns everything the
-// engine needs plus a second capture for streaming.
+// trained is the detector every buildModel call starts from: trained
+// once per test binary and kept as snapshot bytes, so each call decodes
+// a private copy (tests that call Feedback mutate only their own model).
+var trained struct {
+	once       sync.Once
+	snap       []byte
+	norm       datasets.Normalizer
+	classNames []string
+	err        error
+}
+
+// buildModel returns a trained detector — a fresh copy per call of one
+// model trained once per test binary — with everything the engine needs,
+// plus a second capture for streaming.
 func buildModel(t testing.TB) (Config, *traffic.Stream) {
 	t.Helper()
-	train := datasets.CICIDS2017(1500, 21)
-	trainSet, _, norm := train.NormalizedSplit(0.9, 3)
-	m, err := core.Train(
-		encoder.NewRBF(trainSet.NumFeatures(), 512, 0, 5),
-		trainSet.X, trainSet.Y,
-		core.Options{Classes: trainSet.NumClasses(), Epochs: 8, RegenCycles: 3, RegenRate: 0.2, LearningRate: 0.1, Seed: 7},
-	)
+	trained.once.Do(func() {
+		train := datasets.CICIDS2017(1500, 21)
+		trainSet, _, norm := train.NormalizedSplit(0.9, 3)
+		m, err := core.Train(
+			encoder.NewRBF(trainSet.NumFeatures(), 512, 0, 5),
+			trainSet.X, trainSet.Y,
+			core.Options{Classes: trainSet.NumClasses(), Epochs: 8, RegenCycles: 3, RegenRate: 0.2, LearningRate: 0.1, Seed: 7},
+		)
+		if err != nil {
+			trained.err = err
+			return
+		}
+		var buf bytes.Buffer
+		trained.err = core.SaveSnapshot(&buf, core.NewCOWModel(m))
+		trained.snap, trained.norm, trained.classNames = buf.Bytes(), *norm, train.ClassNames
+	})
+	if trained.err != nil {
+		t.Fatal(trained.err)
+	}
+	m, _, err := core.DecodeSnapshot(bytes.NewReader(trained.snap))
 	if err != nil {
 		t.Fatal(err)
+	}
+	norm := &datasets.Normalizer{
+		Mean:   append([]float32(nil), trained.norm.Mean...),
+		InvStd: append([]float32(nil), trained.norm.InvStd...),
 	}
 	live := traffic.Generate(traffic.Config{Sessions: 400, Seed: 99})
 	return Config{
 		Model:      m,
 		Normalizer: norm,
-		ClassNames: train.ClassNames,
+		ClassNames: append([]string(nil), trained.classNames...),
 	}, live
 }
 
@@ -194,43 +225,6 @@ func TestFeedbackNonUpdaterModel(t *testing.T) {
 type staticModel struct{}
 
 func (staticModel) Predict([]float32) int { return 0 }
-
-func TestConcurrentMatchesSynchronous(t *testing.T) {
-	cfg, live := buildModel(t)
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range live.Packets {
-		eng.Feed(live.Packets[i])
-	}
-	eng.Flush()
-	syncStats := eng.Stats()
-
-	conc, err := NewConcurrent(cfg, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range live.Packets {
-		conc.Feed(p)
-	}
-	conc.Close()
-	concStats := conc.Stats()
-
-	if syncStats.Flows != concStats.Flows || syncStats.Alerts != concStats.Alerts {
-		t.Fatalf("sync %+v != concurrent %+v", syncStats, concStats)
-	}
-}
-
-func TestConcurrentCloseIdempotent(t *testing.T) {
-	cfg, _ := buildModel(t)
-	conc, err := NewConcurrent(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conc.Close()
-	conc.Close() // must not panic
-}
 
 // TestBatchModeMatchesSync streams the same capture through a synchronous
 // engine and a micro-batched one: the kernel batch path is bit-identical

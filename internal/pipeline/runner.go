@@ -36,7 +36,7 @@ type Runner struct {
 	// timestamps cross each ProgressInterval boundary of the capture
 	// clock, plus one final settled snapshot after the drain. It runs on
 	// the Run goroutine and must not call back into the stream's Feed,
-	// Tick, Flush or Close (Feedback and Snapshot are fine).
+	// Tick, Flush or Close (Feedback and Stats are fine).
 	Progress func(telemetry.Snapshot)
 	// ProgressInterval is the Progress cadence in capture seconds: 0
 	// selects 10 s, negative disables periodic snapshots (the final one
@@ -53,7 +53,7 @@ func (r *Runner) Snapshot() Stats {
 	if r.Stream == nil {
 		return Stats{}
 	}
-	return r.Stream.Snapshot()
+	return r.Stream.Stats()
 }
 
 // Telemetry returns the driven stream's collector — the live handle for
@@ -66,34 +66,20 @@ func (r *Runner) Telemetry() *telemetry.Collector {
 	return r.Stream.Telemetry()
 }
 
-// NewRunner builds an engine from cfg and a runner that will pump src
-// through it. Sharding is an explicit choice, not a default: cfg.Shards
-// > 1 builds the flow-sharded multi-core engine with that many shards
-// (stats stay bit-identical, but alert interleaving across shards is
-// scheduling-dependent); any other count builds the synchronous
-// single-core Engine, whose alert order is deterministic run to run.
-// For one shard per core pass runtime.GOMAXPROCS(0) — the facade's
-// WithShards(0) resolves to exactly that. Alert fan-out comes from
-// cfg.OnAlert and cfg.Sinks; the auto-tick period from cfg.TickInterval.
+// NewRunner builds the stream cfg describes (NewStream: the sharded
+// engine only for cfg.Shards > 1, the bounded Gate only for
+// cfg.Overload.Mode == OverloadBounded) and a runner that will pump src
+// through it. For one shard per core pass runtime.GOMAXPROCS(0) — the
+// facade's WithShards(0) resolves to exactly that. Alert fan-out comes
+// from cfg.OnAlert and cfg.Sinks; the auto-tick period from
+// cfg.TickInterval.
 func NewRunner(cfg Config, src netflow.PacketSource) (*Runner, error) {
 	if src == nil {
 		return nil, fmt.Errorf("pipeline: nil packet source")
 	}
-	var s Stream
-	var err error
-	if cfg.Shards > 1 {
-		s, err = NewSharded(cfg)
-	} else {
-		s, err = New(cfg)
-	}
+	s, err := NewStream(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Overload.Mode == OverloadBounded {
-		// Bounded mode wraps the engine in the admission gate; the
-		// lossless default installs nothing, keeping the no-gate path
-		// bit-identical to every release before overload control.
-		s = NewGate(s, cfg.Overload)
 	}
 	return &Runner{
 		Stream: s, Source: src, TickInterval: cfg.TickInterval,

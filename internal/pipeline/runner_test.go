@@ -311,12 +311,14 @@ func TestRunnerNilValidation(t *testing.T) {
 	}
 }
 
-// TestRunnerConcurrentStream drives the Concurrent wrapper through the
-// Runner — the Stream contract makes the worker-backed engine a drop-in.
+// TestRunnerConcurrentStream drives a one-shard Sharded engine (a single
+// background worker) through the Runner — the Stream contract makes the
+// worker-backed engine a drop-in.
 func TestRunnerConcurrentStream(t *testing.T) {
 	cfg, live := buildModel(t)
 	want := directDrive(t, cfg, live.Packets)
-	conc, err := NewConcurrent(cfg, 256)
+	cfg.Shards, cfg.ShardBuffer = 1, 256
+	conc, err := NewSharded(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

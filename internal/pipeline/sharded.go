@@ -32,9 +32,8 @@ import (
 //   - Close is deterministic: it stops ingress, drains every shard's
 //     channel, flushes all in-progress flows and pending micro-batches,
 //     and waits for every worker to exit. Feed/Tick/Flush after Close are
-//     defined no-ops. Stats/Snapshot are safe from any goroutine at any
-//     time (all shards count into one atomic collector); after Close they
-//     are exact.
+//     defined no-ops. Stats is safe from any goroutine at any time (all
+//     shards count into one atomic collector); after Close it is exact.
 //
 // Online learning: Feedback is safe to call concurrently with live
 // classification only when the model's Update is — wrap the model in
@@ -46,8 +45,8 @@ type Sharded struct {
 	shards []shardWorker
 	once   sync.Once
 
-	// tel is the one collector every shard records into, so Snapshot and
-	// Stats are single reads with no per-shard merge.
+	// tel is the one collector every shard records into, so Stats is a
+	// single read with no per-shard merge.
 	tel *telemetry.Collector
 
 	// alertMu serializes OnAlert and sink delivery across shard goroutines.
@@ -264,11 +263,7 @@ func (s *Sharded) Close() {
 // Stats returns the engine counters. Every shard records into one shared
 // telemetry collector, so this is a single atomic read, safe from any
 // goroutine at any time; exact after Close.
-func (s *Sharded) Stats() Stats { return s.Snapshot() }
-
-// Snapshot reads the engine counters — identical to Stats, named for the
-// Stream contract's any-time read.
-func (s *Sharded) Snapshot() Stats { return statsOf(s.tel.Snapshot()) }
+func (s *Sharded) Stats() Stats { return statsOf(s.tel.Snapshot()) }
 
 // Telemetry returns the collector shared by every shard, for richer
 // observation (latency histogram, suppression totals, Prometheus export).

@@ -212,11 +212,13 @@ func TestShardedFeedbackDuringTraffic(t *testing.T) {
 	}
 }
 
-// TestConcurrentStatsAfterClose: once Close returns, the worker goroutine
-// has exited and Stats is stable and safe to read repeatedly.
+// TestConcurrentStatsAfterClose: once Close returns, the single shard's
+// worker goroutine has exited and Stats is stable and safe to read
+// repeatedly.
 func TestConcurrentStatsAfterClose(t *testing.T) {
 	cfg, live := buildModel(t)
-	conc, err := NewConcurrent(cfg, 64)
+	cfg.Shards, cfg.ShardBuffer = 1, 64
+	conc, err := NewSharded(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

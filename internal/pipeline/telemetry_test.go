@@ -21,8 +21,10 @@ func streamsUnderTest(t *testing.T, cfg Config) map[string]func() Stream {
 			}
 			return s
 		},
-		"concurrent": func() Stream {
-			s, err := NewConcurrent(cfg, 256)
+		"sharded1": func() Stream {
+			c := cfg
+			c.Shards, c.ShardBuffer = 1, 256
+			s, err := NewSharded(c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,7 +44,7 @@ func streamsUnderTest(t *testing.T, cfg Config) map[string]func() Stream {
 
 // TestPostCloseOpsAreNoOps pins the Stream lifecycle contract: Feed, Tick
 // and Flush after Close are defined no-ops on every engine — previously
-// they panicked with "send on closed channel" on Concurrent and Sharded.
+// they panicked with "send on closed channel" on the channel-fed engines.
 func TestPostCloseOpsAreNoOps(t *testing.T) {
 	cfg, live := buildModel(t)
 	for name, build := range streamsUnderTest(t, cfg) {
@@ -102,8 +104,8 @@ func TestPostCloseConcurrentFeeders(t *testing.T) {
 	}
 }
 
-// TestSnapshotDuringLiveFeedRaceFree reads Snapshot and Stats from many
-// goroutines while traffic is being fed — the exact mid-run access that
+// TestSnapshotDuringLiveFeedRaceFree reads Stats and telemetry snapshots
+// from many goroutines while traffic is being fed — the exact mid-run access that
 // used to be a documented data race ("only call after Close"). Run with
 // -race; it also checks reads are sane mid-run and exact after Close.
 func TestSnapshotDuringLiveFeedRaceFree(t *testing.T) {
@@ -124,7 +126,7 @@ func TestSnapshotDuringLiveFeedRaceFree(t *testing.T) {
 							return
 						default:
 						}
-						st := s.Snapshot()
+						st := s.Stats()
 						if st.Packets < 0 || st.Flows < 0 {
 							t.Error("nonsense snapshot")
 							return
@@ -137,7 +139,6 @@ func TestSnapshotDuringLiveFeedRaceFree(t *testing.T) {
 							t.Errorf("more verdicts (%d) than completed flows (%d)", sum, st.Flows)
 							return
 						}
-						_ = s.Stats()
 						_ = s.Telemetry().Snapshot()
 					}
 				}()
@@ -156,8 +157,9 @@ func TestSnapshotDuringLiveFeedRaceFree(t *testing.T) {
 }
 
 // TestSnapshotEqualsStatsAfterClose pins the consistency contract: after
-// Close, Snapshot and Stats are the same bits on every engine, and both
-// match a reference single-engine run of the same capture.
+// Close, the telemetry snapshot and Stats are the same bits on every
+// engine, and both match a reference single-engine run of the same
+// capture.
 func TestSnapshotEqualsStatsAfterClose(t *testing.T) {
 	cfg, live := buildModel(t)
 	cfg.BatchSize = 8
@@ -179,9 +181,9 @@ func TestSnapshotEqualsStatsAfterClose(t *testing.T) {
 				s.Feed(live.Packets[i])
 			}
 			s.Close()
-			st, sn := s.Stats(), s.Snapshot()
+			st, sn := s.Stats(), statsOf(s.Telemetry().Snapshot())
 			if !reflect.DeepEqual(st, sn) {
-				t.Fatalf("Snapshot != Stats after Close:\n%+v\n%+v", sn, st)
+				t.Fatalf("telemetry Snapshot != Stats after Close:\n%+v\n%+v", sn, st)
 			}
 			if !reflect.DeepEqual(st, want) {
 				t.Fatalf("engine diverged from reference:\n%+v\n%+v", st, want)

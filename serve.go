@@ -23,12 +23,9 @@ import (
 //	    cyberhd.WithSinks(cyberhd.NewJSONLSink(os.Stdout)))
 type (
 	// Stream is the uniform serving contract (Feed/Tick/Flush/Close/
-	// Stats/Feedback) implemented by Engine, ConcurrentEngine and
-	// ShardedEngine.
+	// Stats/Feedback) implemented by Engine, ShardedEngine, Gate and
+	// ClusterClient.
 	Stream = pipeline.Stream
-	// ConcurrentEngine decouples ingestion from classification with one
-	// background worker (see pipeline.NewConcurrent).
-	ConcurrentEngine = pipeline.Concurrent
 	// PacketSource yields a time-ordered packet stream (see NewSliceSource,
 	// OpenCapture, ReplayTraffic).
 	PacketSource = netflow.PacketSource
