@@ -24,6 +24,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"cyberhd/internal/baseline/mlp"
 	"cyberhd/internal/baseline/svm"
@@ -169,6 +170,26 @@ func benchTrainOnly(b *testing.B, model string, train *datasets.Dataset) {
 	default:
 		b.Fatalf("unknown model %q", model)
 	}
+}
+
+// BenchmarkTrainDetector is the detector set-up that `cyberhd detect`
+// (and perfbench's setup_s) pays before serving its first packet: build
+// CICIDS2017(3000, 1), then TrainDetector with DefaultConfig. dataset_s
+// and train_s split each op by stage.
+func BenchmarkTrainDetector(b *testing.B) {
+	var build, train time.Duration
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		ds := CICIDS2017(3000, 1)
+		t1 := time.Now()
+		if _, err := TrainDetector(ds, DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
+		build += t1.Sub(t0)
+		train += time.Since(t1)
+	}
+	b.ReportMetric(build.Seconds()/float64(b.N), "dataset_s/op")
+	b.ReportMetric(train.Seconds()/float64(b.N), "train_s/op")
 }
 
 // BenchmarkFig4Inference measures per-query latency (Fig 4 right) on

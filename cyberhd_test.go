@@ -2,8 +2,15 @@ package cyberhd
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"strings"
 	"testing"
+
+	"cyberhd/internal/core"
+	"cyberhd/internal/encoder"
 )
 
 func TestTrainDetectorQuickstart(t *testing.T) {
@@ -221,4 +228,54 @@ func TestDetectorSaveLoad(t *testing.T) {
 		eng.Feed(live.Packets[i])
 	}
 	eng.Flush()
+}
+
+// TestTrainedSnapshotPinned is the training-numerics oracle: a small CIC
+// detector must train to exactly the model recorded before the training
+// kernels were vectorized. It hashes everything a v2 snapshot carries —
+// class matrix, cached row norms, D*, per-cycle history, encoder state
+// with its RNG continuation — in a fixed binary layout after a
+// SaveSnapshot/DecodeSnapshot round trip. (The snapshot bytes themselves
+// are not hashed: gob numbers wire types per process, so they depend on
+// what the test binary encoded before.)
+func TestTrainedSnapshotPinned(t *testing.T) {
+	det, err := TrainDetector(CICIDS2017(600, 2), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := core.SaveSnapshot(&buf, core.NewCOWModel(det.Model)); err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := core.DecodeSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := encoder.CaptureState(m.Enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	put := func(v any) {
+		if err := binary.Write(h, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, v := range []any{m.Class.Data, m.Scorer().Norms(), int64(m.EffectiveDim)} {
+		put(v)
+	}
+	for _, c := range m.History {
+		put([]int64{int64(c.Cycle), int64(c.Dropped), int64(c.EffectiveDim)})
+		put(c.TrainAcc)
+	}
+	for _, v := range []any{st.RNG, st.Base, st.Bias, st.Gamma} {
+		put(v)
+	}
+	const want = "572f49c9c0db8964cd550301cfe1ec26e4622f20be12f33a09ce8eb0c139442a"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("trained model digest %s, want %s", got, want)
+	}
+	if got := math.Float64bits(det.TestAccuracy); got != 0x3fefcef2341ea89f {
+		t.Errorf("test accuracy %v (bits %#x), want bits 0x3fefcef2341ea89f", det.TestAccuracy, got)
+	}
 }

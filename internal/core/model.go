@@ -170,6 +170,9 @@ func Train(enc encoder.Encoder, x *hdc.Matrix, y []int, opts Options) (*Model, e
 	}
 	r := rng.New(opts.Seed)
 	enc2 := encoder.EncodeBatch(enc, x) // A: encode once, refresh per cycle
+	// Sample norms change only when regeneration rewrites the encodings,
+	// so each round computes them once rather than once per visit.
+	hNorms := enc2.RowNorms()
 
 	// Bootstrap pass (one-shot bundling) gives adaptive learning a
 	// non-degenerate similarity landscape to start from.
@@ -178,7 +181,7 @@ func Train(enc encoder.Encoder, x *hdc.Matrix, y []int, opts Options) (*Model, e
 	}
 	m.refreshNorms()
 
-	m.adaptiveEpochs(enc2, y, r)
+	m.adaptiveEpochs(enc2, hNorms, y, r)
 	m.History = append(m.History, CycleStats{
 		Cycle: 0, EffectiveDim: m.EffectiveDim, TrainAcc: m.evaluateEncoded(enc2, y),
 	})
@@ -195,9 +198,10 @@ func Train(enc encoder.Encoder, x *hdc.Matrix, y []int, opts Options) (*Model, e
 		m.Class.ZeroColumns(dims)
 		enc.Regenerate(dims) // H
 		encoder.EncodeDimsBatch(enc, x, enc2, dims)
+		hNorms = enc2.RowNorms()
 		m.EffectiveDim += len(dims)
 		m.refreshNorms()
-		m.adaptiveEpochs(enc2, y, r)
+		m.adaptiveEpochs(enc2, hNorms, y, r)
 		m.History = append(m.History, CycleStats{
 			Cycle: cycle, Dropped: len(dims), EffectiveDim: m.EffectiveDim,
 			TrainAcc: m.evaluateEncoded(enc2, y),
@@ -207,8 +211,9 @@ func Train(enc encoder.Encoder, x *hdc.Matrix, y []int, opts Options) (*Model, e
 }
 
 // adaptiveEpochs runs opts.Epochs passes of similarity-weighted updates
-// over the encoded training set in shuffled order.
-func (m *Model) adaptiveEpochs(enc2 *hdc.Matrix, y []int, r *rng.Rand) {
+// over the encoded training set in shuffled order. hNorms holds the Norm
+// of every row of enc2.
+func (m *Model) adaptiveEpochs(enc2 *hdc.Matrix, hNorms []float64, y []int, r *rng.Rand) {
 	order := make([]int, enc2.Rows)
 	for i := range order {
 		order[i] = i
@@ -217,7 +222,7 @@ func (m *Model) adaptiveEpochs(enc2 *hdc.Matrix, y []int, r *rng.Rand) {
 	for e := 0; e < m.opts.Epochs; e++ {
 		r.ShuffleInts(order)
 		for _, i := range order {
-			m.updateOne(enc2.Row(i), y[i], sims)
+			m.updateOne(enc2.Row(i), hNorms[i], y[i], sims)
 		}
 	}
 }
@@ -225,9 +230,9 @@ func (m *Model) adaptiveEpochs(enc2 *hdc.Matrix, y []int, r *rng.Rand) {
 // updateOne applies the paper's adaptive rule to a single encoded sample:
 // on misprediction, C_l += η(1−δ_l)·H and C_l' −= η(1−δ_l')·H, where a high
 // similarity δ means the pattern is already represented and the update is
-// scaled down.
-func (m *Model) updateOne(h []float32, label int, sims []float64) bool {
-	hdc.Similarities(m.Class, h, m.scorer.Norms(), sims)
+// scaled down. hNorm must be hdc.Norm(h).
+func (m *Model) updateOne(h []float32, hNorm float64, label int, sims []float64) bool {
+	hdc.Similarities(m.Class, h, hNorm, m.scorer.Norms(), sims)
 	pred := argmax(sims)
 	if pred == label {
 		return false
@@ -374,7 +379,7 @@ func (m *Model) Update(x []float32, label int) bool {
 	m.Scorer() // ensure the norm cache exists before updateOne reads it
 	sc := m.scratch()
 	m.Enc.Encode(x, sc.h)
-	changed := m.updateOne(sc.h, label, sc.sims)
+	changed := m.updateOne(sc.h, hdc.Norm(sc.h), label, sc.sims)
 	m.predictScratch.Put(sc)
 	return changed
 }

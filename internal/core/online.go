@@ -59,7 +59,7 @@ func (t *OnlineTrainer) Observe(x []float32, label int) (bool, error) {
 		t.updates++
 		return true, nil
 	}
-	changed := t.m.updateOne(t.scratch, label, t.sims)
+	changed := t.m.updateOne(t.scratch, hdc.Norm(t.scratch), label, t.sims)
 	if changed {
 		t.updates++
 	}

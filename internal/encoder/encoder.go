@@ -184,11 +184,26 @@ func (e *RBF) encodeChunk(x, out *hdc.Matrix, lo, hi int) {
 	}
 }
 
-// EncodeDims recomputes only the listed dimensions, with the same kernel
-// numerics as Encode (hdc.DotLanes is the scalar form of hdc.DotPanel).
+// EncodeDims recomputes only the listed dimensions through the same
+// kernels as Encode: hdc.DotPanel scores each listed dimension, and the
+// cosine epilogue runs vectorized over up to encPanel gathered dimensions
+// at a time, so the refreshed values are bit-identical to a full Encode.
 func (e *RBF) EncodeDims(x, dst []float32, dims []int) {
-	for _, d := range dims {
-		dst[d] = hdc.Cos32(hdc.DotLanes(e.base.Row(d), x) + e.bias[d])
+	if len(x) != e.InDim() || len(dst) != e.Dim() {
+		panic("encoder: RBF.EncodeDims length mismatch")
+	}
+	var pre, bias, out [encPanel]float32
+	for len(dims) > 0 {
+		blk := dims[:min(len(dims), encPanel)]
+		dims = dims[len(blk):]
+		for k, d := range blk {
+			hdc.DotPanel(x, e.base.Row(d), len(x), pre[k:k+1])
+			bias[k] = e.bias[d]
+		}
+		hdc.CosInto(out[:len(blk)], pre[:len(blk)], bias[:len(blk)])
+		for k, d := range blk {
+			dst[d] = out[k]
+		}
 	}
 }
 
@@ -242,11 +257,14 @@ func (e *Linear) EncodeBatchInto(x, out *hdc.Matrix) {
 	hdc.MatMulT(x, e.base, out)
 }
 
-// EncodeDims recomputes only the listed dimensions, matching Encode's
-// kernel numerics.
+// EncodeDims recomputes only the listed dimensions through Encode's
+// kernel, one hdc.DotPanel row per listed dimension.
 func (e *Linear) EncodeDims(x, dst []float32, dims []int) {
+	if len(x) != e.InDim() || len(dst) != e.Dim() {
+		panic("encoder: Linear.EncodeDims length mismatch")
+	}
 	for _, d := range dims {
-		dst[d] = hdc.DotLanes(e.base.Row(d), x)
+		hdc.DotPanel(x, e.base.Row(d), len(x), dst[d:d+1])
 	}
 }
 

@@ -66,6 +66,49 @@ func TestEncodeDimsMatchesEncode(t *testing.T) {
 	}
 }
 
+// TestEncodeDimsBlocks drives the vectorized EncodeDims through sorted,
+// unsorted and duplicated lists and more dimensions than one epilogue
+// block: every listed output must equal a full Encode bit for bit, and no
+// other output may be written.
+func TestEncodeDimsBlocks(t *testing.T) {
+	r := rng.New(4)
+	x := randInput(r, 78)
+	all := make([]int, 300)
+	for i := range all {
+		all[i] = i
+	}
+	lists := [][]int{
+		{3, 4, 5, 6, 7, 40, 41, 299},
+		{299, 0, 150, 151, 1, 2, 1},
+		all,
+		all[100:230],
+		r.Perm(300)[:97],
+	}
+	for name, e := range encoders(78, 300, 9) {
+		full := make([]float32, 300)
+		e.Encode(x, full)
+		for _, dims := range lists {
+			partial := make([]float32, 300)
+			for i := range partial {
+				partial[i] = -7
+			}
+			e.EncodeDims(x, partial, dims)
+			listed := map[int]bool{}
+			for _, d := range dims {
+				listed[d] = true
+			}
+			for d, v := range partial {
+				if listed[d] && v != full[d] {
+					t.Fatalf("%s: EncodeDims[%d] = %v, Encode = %v (%d dims)", name, d, v, full[d], len(dims))
+				}
+				if !listed[d] && v != -7 {
+					t.Fatalf("%s: EncodeDims wrote unlisted dim %d", name, d)
+				}
+			}
+		}
+	}
+}
+
 func TestRegenerateChangesOnlyListedDims(t *testing.T) {
 	r := rng.New(3)
 	x := randInput(r, 12)

@@ -28,7 +28,9 @@ import (
 // used here (tens to a few thousand elements of roughly unit scale) the
 // relative error stays within a few 1e-6, well below the discrimination
 // scale of HDC class similarities; norms and learning-rule similarities
-// keep the float64 Dot path.
+// keep Dot's float64 numerics. DotPanel64 is the panel form of Dot: one
+// float64 accumulator lane per Dot partial sum, so it is bit-identical to
+// Dot while sharing the query loads across rows.
 
 // panelTargetBytes sizes the row panels MatMulT streams through the inner
 // kernel: a panel of B rows should sit in L1 alongside the current A row
@@ -91,6 +93,31 @@ func DotPanel(x, b []float32, stride int, out []float32) {
 		return
 	}
 	dotPanelGeneric(x, b, stride, out)
+}
+
+// DotPanel64 computes out[r] = Dot(x, b[r*stride : r*stride+len(x)]) for
+// every r in [0, len(out)) — the learning-rule similarity kernel, scoring
+// one sample against every class row at once. Each float32×float32
+// product is exact in float64, so a 4-wide float64 vector unit with one
+// accumulator per row reproduces Dot's partial sums s0..s3 exactly
+// (fused or not); the n%4 tail goes into s0 and the lanes fold left to
+// right, as in Dot. The AVX path and the portable fallback are therefore
+// bit-identical to Dot, which the package tests assert.
+func DotPanel64(x, b []float32, stride int, out []float64) {
+	n, rows := len(x), len(out)
+	if stride < n {
+		panic("hdc: DotPanel64 stride shorter than vector")
+	}
+	if rows > 0 && (rows-1)*stride+n > len(b) {
+		panic("hdc: DotPanel64 panel out of range")
+	}
+	if useAVX && n > 0 && rows > 0 {
+		dotPanel64AVX(&x[0], &b[0], &out[0], n, stride, rows)
+		return
+	}
+	for r := range out {
+		out[r] = Dot(x, b[r*stride:][:n:n])
+	}
 }
 
 // dotPanelGeneric is the portable DotPanel: four rows per pass share the

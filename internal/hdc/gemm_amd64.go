@@ -12,6 +12,16 @@ import "cyberhd/internal/cpufeat"
 //go:noescape
 func dotPanelAVX(x, b, out *float32, n, stride, rows int)
 
+// dotPanel64AVX is the AVX implementation of DotPanel64's contract: for
+// each of rows rows of b (stride floats apart) it widens x and the row to
+// float64 four at a time, accumulates the products in one YMM register
+// whose lanes are Dot's s0..s3 (unfused VMULPD+VADDPD), adds the n%4
+// tail into s0 and folds s0+s1+s2+s3 — bit-identical to Dot.
+// Implemented in gemm_amd64.s.
+//
+//go:noescape
+func dotPanel64AVX(x, b *float32, out *float64, n, stride, rows int)
+
 // cosIntoAVX2 evaluates dst[i] = Cos32(pre[i] + bias[i]) eight lanes at a
 // time with the same single-rounded float32 operations as the scalar
 // form, so results are bit-identical. Implemented in gemm_amd64.s.

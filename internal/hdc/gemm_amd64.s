@@ -227,6 +227,160 @@ done:
 	VZEROUPPER
 	RET
 
+// FOLD64 stores lo.lo + lo.hi + hi.lo + hi.hi, added left to right, to
+// dst: lo holds Dot's (s0, s1) and hi its (s2, s3).
+#define FOLD64(lo, hi, dst) \
+	VUNPCKHPD lo, lo, X10; \
+	VADDSD    X10, lo, X11; \
+	VADDSD    hi, X11, X11; \
+	VUNPCKHPD hi, hi, X10; \
+	VADDSD    X10, X11, X11; \
+	VMOVSD    X11, dst
+
+// func dotPanel64AVX(x, b *float32, out *float64, n, stride, rows int)
+//
+// out[r] = Dot(x, b[r*stride:][:n]): four float64 lanes per row (lane =
+// i mod 4 over the 4-aligned prefix, VCVTPS2PD then unfused VMULPD +
+// VADDPD), the n%4 tail added into lane 0 in index order, then
+// s0+s1+s2+s3 — bit-identical to Dot. Four rows per pass share the x
+// loads.
+//
+// Register map: SI=x, DI=panel cursor, DX=out cursor, R9=stride bytes,
+// R10=rows left, BX=main-loop byte bound, CX=tail count, AX=tail
+// counter, R11=byte offset, R12..R15=row pointers, Y0..Y3=accumulators,
+// Y4=x vector, Y5..Y8=row vectors (X5..X8 = (s2, s3) after the loop),
+// X4/X9=tail scalars, X10/X11=fold temps.
+TEXT ·dotPanel64AVX(SB), NOSPLIT, $0-48
+	MOVQ x+0(FP), SI
+	MOVQ b+8(FP), DI
+	MOVQ out+16(FP), DX
+	MOVQ n+24(FP), BX
+	MOVQ stride+32(FP), R9
+	SHLQ $2, R9
+	MOVQ rows+40(FP), R10
+
+	MOVQ BX, CX
+	ANDQ $3, CX
+	ANDQ $-4, BX
+	SHLQ $2, BX
+
+prows4:
+	CMPQ R10, $4
+	JLT  prows1
+	MOVQ DI, R12
+	LEAQ (DI)(R9*1), R13
+	LEAQ (R13)(R9*1), R14
+	LEAQ (R14)(R9*1), R15
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ R11, R11
+	CMPQ BX, $0
+	JEQ  ptail4
+
+ploop4:
+	VCVTPS2PD (SI)(R11*1), Y4
+	VCVTPS2PD (R12)(R11*1), Y5
+	VMULPD    Y4, Y5, Y5
+	VADDPD    Y5, Y0, Y0
+	VCVTPS2PD (R13)(R11*1), Y6
+	VMULPD    Y4, Y6, Y6
+	VADDPD    Y6, Y1, Y1
+	VCVTPS2PD (R14)(R11*1), Y7
+	VMULPD    Y4, Y7, Y7
+	VADDPD    Y7, Y2, Y2
+	VCVTPS2PD (R15)(R11*1), Y8
+	VMULPD    Y4, Y8, Y8
+	VADDPD    Y8, Y3, Y3
+	ADDQ $16, R11
+	CMPQ R11, BX
+	JLT  ploop4
+
+ptail4:
+	// Park (s2, s3) of each row; the VEX scalar ops below keep each
+	// accumulator's (s0, s1) and add the tail into s0 only.
+	VEXTRACTF128 $1, Y0, X5
+	VEXTRACTF128 $1, Y1, X6
+	VEXTRACTF128 $1, Y2, X7
+	VEXTRACTF128 $1, Y3, X8
+	MOVQ CX, AX
+	CMPQ AX, $0
+	JEQ  pfold4
+
+ptl4:
+	VCVTSS2SD (SI)(R11*1), X4, X4
+	VCVTSS2SD (R12)(R11*1), X9, X9
+	VMULSD    X4, X9, X9
+	VADDSD    X9, X0, X0
+	VCVTSS2SD (R13)(R11*1), X9, X9
+	VMULSD    X4, X9, X9
+	VADDSD    X9, X1, X1
+	VCVTSS2SD (R14)(R11*1), X9, X9
+	VMULSD    X4, X9, X9
+	VADDSD    X9, X2, X2
+	VCVTSS2SD (R15)(R11*1), X9, X9
+	VMULSD    X4, X9, X9
+	VADDSD    X9, X3, X3
+	ADDQ $4, R11
+	DECQ AX
+	JNZ  ptl4
+
+pfold4:
+	FOLD64(X0, X5, (DX))
+	FOLD64(X1, X6, 8(DX))
+	FOLD64(X2, X7, 16(DX))
+	FOLD64(X3, X8, 24(DX))
+
+	ADDQ $32, DX
+	LEAQ (R15)(R9*1), DI
+	SUBQ $4, R10
+	JMP  prows4
+
+prows1:
+	CMPQ R10, $0
+	JEQ  pdone
+	VXORPD Y0, Y0, Y0
+	XORQ R11, R11
+	CMPQ BX, $0
+	JEQ  ptail1
+
+ploop1:
+	VCVTPS2PD (SI)(R11*1), Y4
+	VCVTPS2PD (DI)(R11*1), Y5
+	VMULPD    Y4, Y5, Y5
+	VADDPD    Y5, Y0, Y0
+	ADDQ $16, R11
+	CMPQ R11, BX
+	JLT  ploop1
+
+ptail1:
+	VEXTRACTF128 $1, Y0, X5
+	MOVQ CX, AX
+	CMPQ AX, $0
+	JEQ  pfold1
+
+ptl1:
+	VCVTSS2SD (SI)(R11*1), X4, X4
+	VCVTSS2SD (DI)(R11*1), X9, X9
+	VMULSD    X4, X9, X9
+	VADDSD    X9, X0, X0
+	ADDQ $4, R11
+	DECQ AX
+	JNZ  ptl1
+
+pfold1:
+	FOLD64(X0, X5, (DX))
+
+	ADDQ $8, DX
+	ADDQ R9, DI
+	DECQ R10
+	JMP  prows1
+
+pdone:
+	VZEROUPPER
+	RET
+
 // Broadcast constant tables for the cosine kernel (8 × float32 each).
 #define COSCONST(name, bits) \
 	DATA name<>+0x00(SB)/4, $bits \

@@ -113,6 +113,104 @@ func TestDotPanelEdgeCases(t *testing.T) {
 	}()
 }
 
+// TestDotPanel64MatchesDot pins the learning-rule kernel contract: every
+// output of the dispatched DotPanel64 (AVX when available) is bit-identical
+// to Dot on the same row, for row counts around the 4-row pass, column
+// counts around the 4-lane loop and its tail, strides wider than the
+// vector, and zero, huge and subnormal values.
+func TestDotPanel64MatchesDot(t *testing.T) {
+	t.Logf("useAVX=%v", useAVX)
+	r := rng.New(11)
+	huge := func() float32 {
+		v := float32(1e38 + 2.4e38*r.Float64())
+		if r.Intn(2) == 0 {
+			v = -v
+		}
+		return v
+	}
+	subnormal := func() float32 {
+		v := math.SmallestNonzeroFloat32 * float32(1+r.Intn(1<<22))
+		if r.Intn(2) == 0 {
+			v = -v
+		}
+		return v
+	}
+	fills := []struct {
+		name string
+		fill func(v []float32)
+	}{
+		{"normal", func(v []float32) { r.FillNorm(v, 0, 1) }},
+		{"zero", func(v []float32) { clear(v) }},
+		{"huge", func(v []float32) {
+			for i := range v {
+				v[i] = huge()
+			}
+		}},
+		{"subnormal", func(v []float32) {
+			for i := range v {
+				v[i] = subnormal()
+			}
+		}},
+		{"mixed", func(v []float32) {
+			for i := range v {
+				switch r.Intn(4) {
+				case 0:
+					v[i] = 0
+				case 1:
+					v[i] = huge()
+				case 2:
+					v[i] = subnormal()
+				default:
+					v[i] = float32(r.Norm())
+				}
+			}
+		}},
+	}
+	cols := append([]int{5, 515}, raggedSizes...)
+	for _, f := range fills {
+		for _, n := range cols {
+			for rows := 1; rows <= 9; rows++ {
+				stride := n + r.Intn(3)
+				x := make([]float32, n)
+				b := make([]float32, rows*stride+n)
+				f.fill(x)
+				f.fill(b)
+				out := make([]float64, rows)
+				DotPanel64(x, b, stride, out)
+				for i, got := range out {
+					want := Dot(x, b[i*stride:][:n:n])
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s n=%d rows=%d stride=%d row %d: DotPanel64 %v != Dot %v",
+							f.name, n, rows, stride, i, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestDotPanel64EdgeCases(t *testing.T) {
+	out := []float64{7, 7}
+	DotPanel64(nil, nil, 0, out)
+	if out[0] != 0 || out[1] != 0 {
+		t.Errorf("empty vectors should zero the output, got %v", out)
+	}
+	DotPanel64([]float32{1}, []float32{2}, 1, nil) // rows == 0: no-op
+	for name, f := range map[string]func(){
+		"short stride":  func() { DotPanel64(make([]float32, 4), make([]float32, 8), 2, make([]float64, 1)) },
+		"panel overrun": func() { DotPanel64(make([]float32, 4), make([]float32, 7), 4, make([]float64, 2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("no panic on %s", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 // matMulTNaive is the unblocked reference: the kernel dot of every row
 // pair, no tiling, no parallelism.
 func matMulTNaive(a, b, dst *Matrix) {
@@ -300,6 +398,39 @@ func BenchmarkDotPanelScoreShape(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		DotPanel(q, m.Data, 512, out)
 	}
+}
+
+// BenchmarkDotPanel64ClassShape is the training hot loop: one encoded
+// sample against the 8×512 class matrix of the CIC detector, in Dot's
+// float64 numerics. BenchmarkDotClassShape is the per-row Dot loop it
+// replaces.
+func BenchmarkDotPanel64ClassShape(b *testing.B) {
+	q, m := classShape()
+	out := make([]float64, m.Rows)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		DotPanel64(q, m.Data, m.Cols, out)
+	}
+}
+
+func BenchmarkDotClassShape(b *testing.B) {
+	q, m := classShape()
+	out := make([]float64, m.Rows)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := range out {
+			out[r] = Dot(m.Row(r), q)
+		}
+	}
+}
+
+func classShape() ([]float32, *Matrix) {
+	r := rng.New(12)
+	q := make([]float32, 512)
+	m := NewMatrix(8, 512)
+	r.FillNorm(q, 0, 1)
+	r.FillNorm(m.Data, 0, 1)
+	return q, m
 }
 
 func BenchmarkMatMulT(b *testing.B) {

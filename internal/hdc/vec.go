@@ -147,30 +147,26 @@ func ArgmaxCosineNormed(m *Matrix, q []float32, rowNorms []float64) (best int, s
 }
 
 // Similarities writes the cosine similarity of q against every row of m
-// into out (len(out) must equal m.Rows) using precomputed row norms
-// rowNorms (may be nil, in which case norms are computed on the fly).
-func Similarities(m *Matrix, q []float32, rowNorms []float64, out []float64) {
-	if len(out) != m.Rows {
-		panic("hdc: Similarities out length mismatch")
+// into out (len(out) must equal m.Rows). qNorm must be Norm(q) and
+// rowNorms the Norm of every row of m: training passes norms it keeps
+// current instead of recomputing them per sample. The dot products come
+// from DotPanel64, bit-identical to Dot(row, q), so every similarity
+// equals Dot(row, q) / (rowNorms[r] * qNorm) exactly; zero norms score 0.
+func Similarities(m *Matrix, q []float32, qNorm float64, rowNorms, out []float64) {
+	if len(q) != m.Cols || len(rowNorms) != m.Rows || len(out) != m.Rows {
+		panic("hdc: Similarities shape mismatch")
 	}
-	nq := Norm(q)
-	for r := 0; r < m.Rows; r++ {
-		if nq == 0 {
-			out[r] = 0
-			continue
-		}
-		row := m.Row(r)
-		var nr float64
-		if rowNorms != nil {
-			nr = rowNorms[r]
-		} else {
-			nr = Norm(row)
-		}
+	if qNorm == 0 {
+		clear(out)
+		return
+	}
+	DotPanel64(q, m.Data, m.Cols, out)
+	for r, nr := range rowNorms {
 		if nr == 0 {
 			out[r] = 0
 			continue
 		}
-		out[r] = Dot(row, q) / (nr * nq)
+		out[r] /= nr * qNorm
 	}
 }
 

@@ -184,19 +184,28 @@ func TestSimilarities(t *testing.T) {
 	m := NewMatrix(2, 2)
 	copy(m.Row(0), []float32{1, 0})
 	copy(m.Row(1), []float32{0, 1})
+	q := []float32{1, 1}
 	out := make([]float64, 2)
-	Similarities(m, []float32{1, 1}, nil, out)
+	Similarities(m, q, Norm(q), m.RowNorms(), out)
 	inv := 1 / math.Sqrt2
 	if !almost(out[0], inv, 1e-6) || !almost(out[1], inv, 1e-6) {
 		t.Fatalf("Similarities = %v", out)
 	}
-	// With precomputed norms must agree.
-	out2 := make([]float64, 2)
-	Similarities(m, []float32{1, 1}, m.RowNorms(), out2)
-	for i := range out {
-		if !almost(out[i], out2[i], 1e-12) {
-			t.Fatalf("precomputed-norm mismatch at %d", i)
+	// Must agree exactly with the per-row Dot/Norm form it replaces.
+	for r := range out {
+		if want := Dot(m.Row(r), q) / (Norm(m.Row(r)) * Norm(q)); out[r] != want {
+			t.Fatalf("row %d: Similarities %v != Dot/Norm %v", r, out[r], want)
 		}
+	}
+	// Zero rows and zero queries score 0.
+	Zero(m.Row(1))
+	Similarities(m, q, Norm(q), m.RowNorms(), out)
+	if out[1] != 0 || !almost(out[0], inv, 1e-6) {
+		t.Fatalf("zero row: Similarities = %v", out)
+	}
+	Similarities(m, []float32{0, 0}, 0, m.RowNorms(), out)
+	if out[0] != 0 || out[1] != 0 {
+		t.Fatalf("zero query: Similarities = %v", out)
 	}
 }
 

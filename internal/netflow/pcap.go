@@ -66,13 +66,18 @@ const (
 // a PacketSource like CaptureScanner, but over the interchange formats.
 // Packet.Time is the capture's absolute timestamp in seconds.
 type PCAPSource struct {
-	br      *bufio.Reader
-	ng      bool // pcapng container (classic otherwise)
-	bo      binary.ByteOrder
-	tsdiv   float64 // classic: ticks per second (1e6 or 1e9)
-	link    uint32  // classic: the capture's single link type
-	ifaces  []pcapIface
-	buf     []byte // reused record/block buffer, bounded by maxPCAPBlock
+	br     *bufio.Reader
+	ng     bool // pcapng container (classic otherwise)
+	bo     binary.ByteOrder
+	tsdiv  float64 // classic: ticks per second (1e6 or 1e9)
+	link   uint32  // classic: the capture's single link type
+	ifaces []pcapIface
+	buf    []byte // reused record/block buffer, bounded by maxPCAPBlock
+	// hdr holds the record or block header being read. It lives here
+	// rather than on the stack because io.ReadFull and binary.ByteOrder
+	// take it through interfaces, which would move a local array to the
+	// heap on every record.
+	hdr     [16]byte
 	skipped int
 }
 
@@ -169,8 +174,8 @@ func (s *PCAPSource) grow(n int) []byte {
 
 // nextClassic reads one classic pcap record: 16-byte header + frame.
 func (s *PCAPSource) nextClassic() ([]byte, uint32, float64, int, error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(s.br, hdr[:]); err != nil {
+	hdr := s.hdr[:]
+	if _, err := io.ReadFull(s.br, hdr); err != nil {
 		if err == io.EOF {
 			return nil, 0, 0, 0, io.EOF
 		}
@@ -198,8 +203,8 @@ func (s *PCAPSource) nextClassic() ([]byte, uint32, float64, int, error) {
 // section byte order and interface descriptions along the way.
 func (s *PCAPSource) nextNG() ([]byte, uint32, float64, int, error) {
 	for {
-		var bh [8]byte
-		if _, err := io.ReadFull(s.br, bh[:]); err != nil {
+		bh := s.hdr[:8]
+		if _, err := io.ReadFull(s.br, bh); err != nil {
 			if err == io.EOF {
 				return nil, 0, 0, 0, io.EOF
 			}
@@ -251,18 +256,18 @@ func (s *PCAPSource) nextNG() ([]byte, uint32, float64, int, error) {
 // sectionHeader parses an SHB given its already-read first 8 bytes: the
 // byte-order magic fixes the section's endianness, and a new section
 // resets the interface table.
-func (s *PCAPSource) sectionHeader(bh [8]byte) error {
-	var bom [4]byte
-	if _, err := io.ReadFull(s.br, bom[:]); err != nil {
+func (s *PCAPSource) sectionHeader(bh []byte) error {
+	bom := s.hdr[8:12]
+	if _, err := io.ReadFull(s.br, bom); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return fmt.Errorf("netflow: pcapng section header: %w", err)
 	}
 	switch {
-	case binary.LittleEndian.Uint32(bom[:]) == pcapngByteOrder:
+	case binary.LittleEndian.Uint32(bom) == pcapngByteOrder:
 		s.bo = binary.LittleEndian
-	case binary.BigEndian.Uint32(bom[:]) == pcapngByteOrder:
+	case binary.BigEndian.Uint32(bom) == pcapngByteOrder:
 		s.bo = binary.BigEndian
 	default:
 		return fmt.Errorf("netflow: pcapng byte-order magic %02x%02x%02x%02x", bom[0], bom[1], bom[2], bom[3])

@@ -209,6 +209,43 @@ func TestPcapngRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPCAPSourceConstantMemory pins the O(1) claim for both containers:
+// a full scan of a 30k-packet classic PCAP or pcapng capture allocates a
+// small constant (source, bufio buffer, record buffer), not one object
+// per record.
+func TestPCAPSourceConstantMemory(t *testing.T) {
+	const n = 30_000
+	base := pcapTestPackets()
+	pkts := make([]Packet, n)
+	for i := range pkts {
+		pkts[i] = base[i%len(base)]
+		pkts[i].Time = RoundToNanos(float64(i) * 1e-3)
+	}
+	var classic bytes.Buffer
+	if err := WritePCAP(&classic, pkts); err != nil {
+		t.Fatal(err)
+	}
+	for name, raw := range map[string][]byte{"pcap": classic.Bytes(), "pcapng": writePcapng(t, pkts)} {
+		allocs := testing.AllocsPerRun(3, func() {
+			src, err := NewPCAPSource(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var p Packet
+			total := 0
+			for src.Next(&p) == nil {
+				total++
+			}
+			if total != n {
+				t.Fatalf("%s: scanned %d packets, want %d", name, total, n)
+			}
+		})
+		if allocs > 32 {
+			t.Errorf("%s: full scan of %d packets made %.0f allocations, want O(1)", name, n, allocs)
+		}
+	}
+}
+
 // TestPCAPRejectsGarbage pins the container-corruption error paths.
 func TestPCAPRejectsGarbage(t *testing.T) {
 	if _, err := NewPCAPSource(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8})); err == nil {

@@ -215,6 +215,9 @@ func Retrain(src *core.Model, w bitpack.Width, x *hdc.Matrix, y []int, epochs in
 	}
 	sims := make([]float64, shadow.Rows)
 	qv := bitpack.NewVector(shadow.Cols, w) // packed-query scratch, reused per sample
+	// Norm caches: the encodings never change here, and each correction
+	// changes exactly two shadow rows, whose norms are refreshed after it.
+	hNorms, rowNorms := enc2.RowNorms(), shadow.RowNorms()
 	for e := 0; e < epochs; e++ {
 		r.ShuffleInts(order)
 		for _, i := range order {
@@ -224,9 +227,11 @@ func Retrain(src *core.Model, w bitpack.Width, x *hdc.Matrix, y []int, epochs in
 			if pred == y[i] {
 				continue
 			}
-			hdc.Similarities(shadow, h, nil, sims)
+			hdc.Similarities(shadow, h, hNorms[i], rowNorms, sims)
 			hdc.Axpy(float32(eta*(1-sims[y[i]])), h, shadow.Row(y[i]))
 			hdc.Axpy(float32(-eta*(1-sims[pred])), h, shadow.Row(pred))
+			rowNorms[y[i]] = hdc.Norm(shadow.Row(y[i]))
+			rowNorms[pred] = hdc.Norm(shadow.Row(pred))
 		}
 		packed = bitpack.QuantizeMatrix(shadow.Data, shadow.Rows, shadow.Cols, w)
 	}

@@ -1,6 +1,10 @@
 package quantize
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"testing"
 
 	"cyberhd/internal/bitpack"
@@ -151,6 +155,55 @@ func TestRetrainImprovesOneBit(t *testing.T) {
 	}
 	if retrained.Width != bitpack.W1 || retrained.Dim() != m.Class.Cols {
 		t.Errorf("retrained shape wrong: w=%d dim=%d", retrained.Width, retrained.Dim())
+	}
+}
+
+// TestRetrainPinned pins Retrain's numerics: the packed class memory
+// (per-row scale and payload words) after a short retraining run must
+// hash to the values recorded before the row-norm cache and the
+// DotPanel64 similarity kernel replaced per-sample norm recomputation.
+// The fixture is deliberately noisy and under-trained so retraining
+// corrects many samples; a stale cached row norm or float32 similarities
+// change these digests.
+func TestRetrainPinned(t *testing.T) {
+	mr := rng.New(500)
+	means := hdc.NewMatrix(4, 12)
+	mr.FillNorm(means.Data, 0, 1)
+	r := rng.New(1)
+	x := hdc.NewMatrix(800, 12)
+	y := make([]int, x.Rows)
+	for i := range y {
+		y[i] = i % 4
+		for j := range x.Row(i) {
+			x.Row(i)[j] = means.At(y[i], j) + float32(r.Norm())
+		}
+	}
+	m, err := core.Train(encoder.NewRBF(12, 256, 0, 3), x, y, core.Options{Classes: 4, Epochs: 2, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		w    bitpack.Width
+		want string
+	}{
+		{bitpack.W16, "e70747d5e51d00bbb171ddef9deaf5090d9e43442fbba00b0a34d5fccf72f10b"},
+		{bitpack.W1, "1160048b8bd59ebf03a2097844446ab7c897e610df97f8da4058832e8a210fc6"},
+	} {
+		q, err := Retrain(m, c.w, x, y, 2, 0.5, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, row := range q.Class.Rows {
+			for _, v := range []any{math.Float32bits(row.Scale), row.Words} {
+				if err := binary.Write(h, binary.LittleEndian, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("w=%d: packed class digest %s, want %s", c.w, got, c.want)
+		}
 	}
 }
 

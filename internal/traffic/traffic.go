@@ -15,7 +15,7 @@ package traffic
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"cyberhd/internal/netflow"
 	"cyberhd/internal/rng"
@@ -107,6 +107,13 @@ type gen struct {
 
 // Generate synthesizes a labeled packet stream.
 func Generate(cfg Config) *Stream {
+	g := generate(cfg)
+	return &Stream{Packets: sortByTime(g.pkts), Labels: g.labels}
+}
+
+// generate runs every session of cfg, leaving the packets in emission
+// order (session by session).
+func generate(cfg Config) *gen {
 	if cfg.Sessions <= 0 {
 		cfg.Sessions = 1000
 	}
@@ -134,8 +141,36 @@ func Generate(cfg Config) *Stream {
 		label := Label(g.r.Categorical(weights))
 		g.session(label, start)
 	}
-	sort.SliceStable(g.pkts, func(i, j int) bool { return g.pkts[i].Time < g.pkts[j].Time })
-	return &Stream{Packets: g.pkts, Labels: g.labels}
+	return g
+}
+
+// sortByTime returns pkts in stable time order — the order
+// sort.SliceStable by Time gives, which is unique — by sorting compact
+// (Time, index) keys and gathering the packets once, instead of swapping
+// whole packets through a reflective swapper.
+func sortByTime(pkts []netflow.Packet) []netflow.Packet {
+	type key struct {
+		t float64
+		i int
+	}
+	keys := make([]key, len(pkts))
+	for i := range pkts {
+		keys[i] = key{pkts[i].Time, i}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		switch {
+		case a.t < b.t:
+			return -1
+		case a.t > b.t:
+			return 1
+		}
+		return a.i - b.i
+	})
+	out := make([]netflow.Packet, len(pkts))
+	for j, k := range keys {
+		out[j] = pkts[k.i]
+	}
+	return out
 }
 
 // client allocates a unique (IP, port) pair so session flows never collide.

@@ -1,7 +1,12 @@
 package traffic
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"cyberhd/internal/netflow"
@@ -171,6 +176,55 @@ func TestFeaturesFiniteAcrossAllTraffic(t *testing.T) {
 					t.Fatalf("%s flow: feature %d not finite", label, i)
 				}
 			}
+		}
+	}
+}
+
+// orderConfigs span the default mix and attack-heavy mixes whose floods
+// and scans emit many packets per session.
+var orderConfigs = []Config{
+	{Sessions: 300, Seed: 1},
+	{Sessions: 500, Seed: 7, Mix: map[Label]float64{DoS: 1, PortScan: 1, DDoS: 1}},
+	{Sessions: 200, Seed: 3, Mix: map[Label]float64{Benign: 1, Botnet: 1}},
+}
+
+// TestSortByTimeMatchesSliceStable pins Generate's packet order to the
+// reflective sort.SliceStable it replaced, on the generator's own
+// emission order (equal timestamps included).
+func TestSortByTimeMatchesSliceStable(t *testing.T) {
+	for _, cfg := range orderConfigs {
+		raw := generate(cfg).pkts
+		want := slices.Clone(raw)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Time < want[j].Time })
+		got := sortByTime(raw)
+		ties := 0
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: packet %d differs from the sort.SliceStable order", cfg.Seed, i)
+			}
+			if i > 0 && got[i].Time == got[i-1].Time {
+				ties++
+			}
+		}
+		t.Logf("seed %d: %d packets, %d equal-time neighbours", cfg.Seed, len(got), ties)
+	}
+}
+
+// TestGeneratePinned hashes Generate's output for each orderConfigs entry
+// against digests recorded with the sort.SliceStable implementation.
+func TestGeneratePinned(t *testing.T) {
+	want := []string{
+		"8ac36cde6a0849798196347f0827f1ad1aa2e3288bc815915e6db17a50b4e5f3",
+		"7e9a69a56c5c091ad5febb1301892f7e7737cacdd72f9b5bb67b401f26a014a9",
+		"27c632833fd05821ceb7c486e29a2e24fa0184761c60864987c248ba477cb9ce",
+	}
+	for i, cfg := range orderConfigs {
+		h := sha256.New()
+		for _, p := range Generate(cfg).Packets {
+			fmt.Fprintf(h, "%+v\n", p)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[i] {
+			t.Errorf("seed %d: packet digest %s, want %s", cfg.Seed, got, want[i])
 		}
 	}
 }
