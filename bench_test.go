@@ -673,11 +673,11 @@ func benchRunnerReplay(b *testing.B, batch int) {
 	flows := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := pipeline.NewRunner(cfg, netflow.NewSliceSource(live.Packets))
+		s, err := pipeline.NewStream(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		st, err := r.Run(context.Background())
+		st, err := (&pipeline.Runner{Stream: s, Source: netflow.NewSliceSource(live.Packets)}).Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,9 +1,6 @@
 package cyberhd
 
-import (
-	"cyberhd/internal/cluster"
-	"cyberhd/internal/telemetry"
-)
+import "cyberhd/internal/cluster"
 
 // Cluster serving: the layer that scales the runtime past one process. An
 // ingest node partitions a packet stream by flow hash across N detector
@@ -19,9 +16,10 @@ type (
 	// ClusterWorkerConfig tunes a ClusterWorker; the zero value serves.
 	ClusterWorkerConfig = cluster.WorkerConfig
 	// ClusterClient is an ingest node's handle on its worker fleet. It
-	// implements the engine Stream contract, so the standard Runner (and
-	// Serve loop) drives a cluster exactly like a local engine. Build
-	// with DialCluster.
+	// implements the engine Stream contract, so the standard Runner
+	// drives a cluster exactly like a local engine (wrap it in NewGate
+	// for bounded admission). Build with DialCluster; serve its
+	// MergedSnapshot through ServeMetrics for the cluster-wide rollup.
 	ClusterClient = cluster.Client
 	// ClusterConfig assembles a ClusterClient: worker addresses, the
 	// serving COWModel, the normalizer and class names, plus the engine
@@ -41,8 +39,4 @@ var (
 	// the initial model snapshot, and returns a serving-ready
 	// ClusterClient.
 	DialCluster = cluster.Dial
-	// ServeMetricsFrom starts an admin endpoint whose counters come from
-	// a snapshot function instead of a local collector — the cluster
-	// rollup surface: pass the ClusterClient's MergedSnapshot.
-	ServeMetricsFrom = telemetry.ListenAndServeFrom
 )

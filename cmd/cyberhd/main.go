@@ -23,6 +23,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -316,7 +317,7 @@ func cmdDetect(args []string) error {
 			extra = map[string]http.Handler{"/model": lazyPlane, "/model/": lazyPlane}
 			banner = "metrics endpoint: http://%s/metrics (also /stats, /healthz, /model)\n"
 		}
-		srv, err := cyberhd.ServeMetricsFrom(*metricsAddr, snapshot, extra)
+		srv, err := cyberhd.ServeMetrics(*metricsAddr, snapshot, extra)
 		if err != nil {
 			return err
 		}
@@ -416,11 +417,11 @@ func cmdDetect(args []string) error {
 		fmt.Printf("quantized inference: %d-bit packed class memory\n", *width)
 	}
 
-	// Build the stream the run drives: a cluster client behind the
+	// Build the one stream the run drives: a cluster client behind the
 	// admission gate — shed at ingress, before the transport spends
 	// anything on the packet, exactly where the gate sits in front of a
-	// local engine — or the local engine NewServeRunner builds.
-	var runner *cyberhd.Runner
+	// local engine — or the local engine NewStream builds.
+	var stream cyberhd.Stream
 	var client *cyberhd.ClusterClient
 	if cluster {
 		client, err = cyberhd.DialCluster(cyberhd.ClusterConfig{
@@ -438,41 +439,38 @@ func cmdDetect(args []string) error {
 		}
 		clientPtr.Store(client)
 		fmt.Printf("cluster: %d workers, flow-hash fan-out\n", len(fleet))
-		stream := cyberhd.Stream(client)
+		stream = client
 		if pol.Mode == cyberhd.OverloadBounded {
 			stream = cyberhd.NewGate(client, pol)
 		}
-		runner = &cyberhd.Runner{Stream: stream, Source: src, TickInterval: *tick}
 	} else {
-		opts := []cyberhd.EngineOption{
-			cyberhd.WithBatchSize(*batch),
-			cyberhd.WithQuantized(cyberhd.Width(*width)),
-			cyberhd.WithShards(*shards),
-			cyberhd.WithTickInterval(*tick),
-			cyberhd.WithOverloadPolicy(pol),
-			cyberhd.WithSinks(sinks...),
+		cfg := det.EngineConfig()
+		cfg.BatchSize = *batch
+		cfg.Quantize = cyberhd.Width(*width)
+		cfg.Shards = *shards
+		if cfg.Shards == 0 {
+			cfg.Shards = runtime.GOMAXPROCS(0)
 		}
-		if tel != nil {
-			opts = append(opts, cyberhd.WithTelemetry(tel))
-		}
+		cfg.Overload = pol
+		cfg.Sinks = sinks
+		cfg.Telemetry = tel
+		cfg.Shadow = tap
 		if cow != nil {
-			opts = append(opts, cyberhd.WithModel(cow))
+			cfg.Model = cow
 		}
-		if tap != nil {
-			opts = append(opts, cyberhd.WithShadow(tap))
-		}
-		if *progress > 0 {
-			opts = append(opts, cyberhd.WithProgress(*progress, func(s cyberhd.TelemetrySnapshot) {
-				fmt.Fprintf(os.Stderr, "progress: %d packets, %d flows, %d alerts (%d pending)\n",
-					s.Packets, s.Flows, s.Alerts, s.Pending())
-			}))
-		}
-		cfg := det.EngineConfig(opts...)
-		if runner, err = cyberhd.NewServeRunner(cfg, src); err != nil {
+		if stream, err = cyberhd.NewStream(cfg); err != nil {
 			return err
 		}
 		if cfg.Shards > 1 {
 			fmt.Printf("sharded engine: %d flow-hash shards\n", cfg.Shards)
+		}
+	}
+	runner := &cyberhd.Runner{Stream: stream, Source: src, TickInterval: *tick}
+	if *progress > 0 {
+		runner.ProgressInterval = *progress
+		runner.Progress = func(s cyberhd.TelemetrySnapshot) {
+			fmt.Fprintf(os.Stderr, "progress: %d packets, %d flows, %d alerts (%d pending)\n",
+				s.Packets, s.Flows, s.Alerts, s.Pending())
 		}
 	}
 	if pol.Mode == cyberhd.OverloadBounded {

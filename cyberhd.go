@@ -12,12 +12,14 @@
 //	det, err := cyberhd.TrainDetector(ds, cyberhd.DefaultConfig())
 //	class := det.Classify(features)
 //
-// Live traffic is one call more: det.Serve pumps any PacketSource through
-// a detection engine and fans alerts to sinks (see serve.go and the
-// serving-runtime section of ARCHITECTURE.md):
+// Live traffic takes a config and one call: Serve pumps any PacketSource
+// through the engine the config describes and fans alerts to sinks (see
+// serve.go and the serving-runtime section of ARCHITECTURE.md):
 //
-//	stats, err := det.Serve(ctx, source, cyberhd.WithBatchSize(64),
-//	    cyberhd.WithSinks(cyberhd.NewJSONLSink(os.Stdout)))
+//	cfg := det.EngineConfig()
+//	cfg.BatchSize = 64
+//	cfg.Sinks = []cyberhd.AlertSink{cyberhd.NewJSONLSink(os.Stdout)}
+//	stats, err := cyberhd.Serve(ctx, cfg, source)
 //
 // Lower-level control (custom encoders, quantization, fault injection,
 // experiment reproduction) is exposed through type aliases into the
@@ -69,9 +71,11 @@ type (
 	// Engine is the streaming NIDS pipeline; Alert its verdict type.
 	Engine = pipeline.Engine
 	// ShardedEngine is the multi-core streaming pipeline: flow-hash
-	// partitioned per-core engines with merged stats (see NewShardedEngine).
+	// partitioned per-core engines with merged stats (NewStream builds
+	// one when EngineConfig.Shards > 1).
 	ShardedEngine = pipeline.Sharded
-	// EngineConfig assembles an Engine.
+	// EngineConfig configures the stream NewStream builds; start from
+	// Detector.EngineConfig.
 	EngineConfig = pipeline.Config
 	// EngineStats is the engine counter snapshot returned by Stats.
 	EngineStats = pipeline.Stats
@@ -231,26 +235,6 @@ func (d *Detector) Classify(features []float32) string {
 	return d.ClassNames[d.Model.Predict(x)]
 }
 
-// NewEngine builds a streaming detection engine from an explicit
-// configuration — the entry point for non-default setups such as
-// micro-batch classification (EngineConfig.BatchSize) or packed
-// reduced-precision serving (EngineConfig.Quantize, the paper's Table I
-// bitwidths as a live inference mode).
-func NewEngine(cfg EngineConfig) (*Engine, error) { return pipeline.New(cfg) }
-
-// NewShardedEngine builds the multi-core streaming engine: packets are
-// hash-partitioned by flow 5-tuple across cfg.Shards per-core engines
-// (0 selects one per CPU), with lossless bounded ingress, serialized
-// alert delivery, a deterministic Close/drain, and merged Stats that are
-// bit-identical to a single Engine over the same capture. For live
-// analyst feedback during classification, set cfg.Model to a COWModel
-// (NewCOWModel) so updates publish atomically against concurrent reads;
-// combined with cfg.Quantize, every feedback publication also re-packs
-// the quantized class memory the shards score against.
-func NewShardedEngine(cfg EngineConfig) (*ShardedEngine, error) {
-	return pipeline.NewSharded(cfg)
-}
-
 // NewCOWModel wraps a trained model in copy-on-write snapshots, making
 // concurrent classification and online feedback race-free: readers load
 // an immutable (encoder, class-matrix) snapshot through one atomic
@@ -258,21 +242,6 @@ func NewShardedEngine(cfg EngineConfig) (*ShardedEngine, error) {
 // wrapped model becomes the wrapper's private working copy — stop using
 // it directly.
 func NewCOWModel(m *Model) *COWModel { return core.NewCOWModel(m) }
-
-// NewEngine builds a streaming detection engine around the detector.
-// benignClass is the class index that does not alert (0 in all four
-// datasets); onAlert may be nil. Most callers want Serve (one call,
-// source to sinks) or d.EngineConfig with options instead; this remains
-// the minimal hand-driven form.
-func (d *Detector) NewEngine(benignClass int, onAlert func(Alert)) (*Engine, error) {
-	return NewEngine(EngineConfig{
-		Model:       d.Model,
-		Normalizer:  d.Normalizer,
-		ClassNames:  d.ClassNames,
-		BenignClass: benignClass,
-		OnAlert:     onAlert,
-	})
-}
 
 // EffectiveDim reports the detector's effective dimensionality D* (physical
 // dims plus regenerated dims — the paper's headline metric).

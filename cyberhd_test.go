@@ -78,7 +78,9 @@ func TestDetectorEngineOnLiveTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	alerts := 0
-	eng, err := det.NewEngine(0, func(Alert) { alerts++ })
+	cfg := det.EngineConfig()
+	cfg.OnAlert = func(Alert) { alerts++ }
+	eng, err := NewStream(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func TestShardedEngineFacade(t *testing.T) {
 	}
 	live := GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77})
 
-	single, err := det.NewEngine(0, nil)
+	single, err := NewStream(det.EngineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,15 +116,14 @@ func TestShardedEngineFacade(t *testing.T) {
 	want := single.Stats()
 
 	cow := NewCOWModel(det.Model)
-	sh, err := NewShardedEngine(EngineConfig{
-		Model:      cow,
-		Normalizer: det.Normalizer,
-		ClassNames: det.ClassNames,
-		Shards:     4,
-		BatchSize:  32,
-	})
+	cfg := det.EngineConfig()
+	cfg.Model, cfg.Shards, cfg.BatchSize = cow, 4, 32
+	sh, err := NewStream(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := sh.(*ShardedEngine); !ok {
+		t.Fatalf("Shards=4 built %T, want *ShardedEngine", sh)
 	}
 	for i := range live.Packets {
 		sh.Feed(live.Packets[i])
@@ -204,7 +205,7 @@ func TestDetectorSaveLoad(t *testing.T) {
 	// Engines require flow-feature detectors: an NSL-KDD (41-feature)
 	// detector must be rejected up front, and a reloaded CIC detector must
 	// drive an engine.
-	if _, err := back.NewEngine(0, nil); err == nil {
+	if _, err := NewStream(back.EngineConfig()); err == nil {
 		t.Fatal("engine accepted a non-flow-feature detector")
 	}
 	cic, err := TrainDetector(CICIDS2017(800, 9), DefaultConfig())
@@ -219,7 +220,7 @@ func TestDetectorSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := cicBack.NewEngine(0, nil)
+	eng, err := NewStream(cicBack.EngineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 // Quantized streaming: the Table I bitwidth sweep as a live serving mode.
 // One detector is trained, then the same capture is served at every
-// supported bitwidth through the one-call runtime (Detector.Serve with
-// WithQuantized — the same path as `cyberhd detect -width N`): completed
-// flows are encoded in float, packed to w-bit integers, and scored
-// against the packed class memory by XNOR/popcount (1-bit) or
+// supported bitwidth through the one-call runtime (cyberhd.Serve with
+// EngineConfig.Quantize — the same path as `cyberhd detect -width N`):
+// completed flows are encoded in float, packed to w-bit integers, and
+// scored against the packed class memory by XNOR/popcount (1-bit) or
 // widened-integer (2–32 bit) kernels. Verdict counts, class-memory
 // footprint and the modeled FPGA efficiency are reported per width,
 // against the float32 engine on identical traffic.
@@ -35,9 +35,10 @@ func main() {
 	// micro-batching — only the inference kernels change.
 	stream := func(w cyberhd.Width) (cyberhd.EngineStats, time.Duration) {
 		start := time.Now()
-		st, err := det.Serve(context.Background(), cyberhd.NewSliceSource(live.Packets),
-			cyberhd.WithBatchSize(64), // micro-batch through the blocked kernels
-			cyberhd.WithQuantized(w))
+		cfg := det.EngineConfig()
+		cfg.BatchSize = 64 // micro-batch through the blocked kernels
+		cfg.Quantize = w
+		st, err := cyberhd.Serve(context.Background(), cfg, cyberhd.NewSliceSource(live.Packets))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -34,26 +34,37 @@ func main() {
 			a.Time, a.ClassName, a.Flow.TotalPackets(), a.Flow.TotalBytes(), a.Flow.Duration())
 	}), 2, 300)
 
-	// Live monitoring, one call: the runner pumps the source into the
-	// engine, auto-ticks from capture timestamps so idle flows evict and
-	// verdicts never stall, drains on end of stream, and returns exact
-	// final stats. (Here the "wire" is the traffic simulator; swap in
-	// cyberhd.OpenCapture for an on-disk log, or any PacketSource.)
-	//
-	// WithProgress is the operator's mid-run view: a telemetry snapshot
-	// every 120 capture-seconds — throughput, verdict counts, and how long
-	// verdicts waited in micro-batch buffers. The same snapshot backs the
-	// HTTP admin endpoint: det.ServeWithMetrics(ctx, ":9090", src, ...)
-	// serves it as Prometheus /metrics and JSON /stats while the run is
-	// live.
+	// Live monitoring: configure the engine, build it, and let a Runner
+	// pump the source into it — auto-ticking from capture timestamps so
+	// idle flows evict and verdicts never stall, draining on end of
+	// stream, and returning exact final stats. (Here the "wire" is the
+	// traffic simulator; swap in cyberhd.OpenCapture for an on-disk log,
+	// or any PacketSource.) cyberhd.Serve(ctx, cfg, src) is the same run
+	// in one call, without the progress view.
+	cfg := det.EngineConfig()
+	cfg.BatchSize = 32
+	cfg.Sinks = []cyberhd.AlertSink{counter, printer}
+	stream, err := cyberhd.NewStream(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 	live := cyberhd.GenerateTraffic(cyberhd.TrafficConfig{Sessions: 1500, Seed: 1234})
-	st, err := det.Serve(context.Background(), cyberhd.NewSliceSource(live.Packets),
-		cyberhd.WithSinks(counter, printer),
-		cyberhd.WithBatchSize(32),
-		cyberhd.WithProgress(120, func(s cyberhd.TelemetrySnapshot) {
+	runner := &cyberhd.Runner{
+		Stream: stream,
+		Source: cyberhd.NewSliceSource(live.Packets),
+		// Progress is the operator's mid-run view: a telemetry snapshot
+		// every 120 capture-seconds — throughput, verdict counts, and how
+		// long verdicts waited in micro-batch buffers. The same snapshot
+		// backs the HTTP admin endpoint: cyberhd.ServeMetrics(":9090",
+		// stream.Telemetry().Snapshot, nil) serves it as Prometheus
+		// /metrics and JSON /stats while the run is live.
+		ProgressInterval: 120,
+		Progress: func(s cyberhd.TelemetrySnapshot) {
 			fmt.Printf("  · progress: %d pkts, %d flows, %d alerts (%d suppressed), mean verdict wait %.2fs\n",
 				s.Packets, s.Flows, s.Alerts, s.Suppressed, meanWait(s))
-		}))
+		},
+	}
+	st, err := runner.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

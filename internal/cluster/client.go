@@ -523,7 +523,7 @@ func (c *Client) Stats() pipeline.Stats {
 }
 
 // Telemetry returns nil: the cluster's telemetry is the merge of remote
-// collectors, served via MergedSnapshot (telemetry.HandlerFrom), not one
+// collectors, served via MergedSnapshot (telemetry.Handler), not one
 // local collector. Runner and the admin surface nil-check this.
 func (c *Client) Telemetry() *telemetry.Collector { return nil }
 
@@ -687,12 +687,4 @@ func (c *Client) WorkerVersions() []uint64 {
 		wc.mu.Unlock()
 	}
 	return out
-}
-
-// Runner returns a pipeline.Runner that replays src into the cluster:
-// the standard replay loop (collapsed tick boundaries, final drain)
-// driving remote workers instead of a local engine. tickInterval follows
-// pipeline.Runner.TickInterval semantics (0 selects 1 s).
-func (c *Client) Runner(src netflow.PacketSource, tickInterval float64) *pipeline.Runner {
-	return &pipeline.Runner{Stream: c, Source: src, TickInterval: tickInterval}
 }

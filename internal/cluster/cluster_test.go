@@ -18,23 +18,52 @@ import (
 	"cyberhd/internal/traffic"
 )
 
-// clusterModel trains the pipeline test model (same data, encoder and
-// options as the pipeline package's differential pins) and generates the
+// trained is the model every clusterModel call starts from: trained once
+// per test binary and kept as snapshot bytes, so each call decodes a
+// private copy (tests that replicate or feed back mutate only their own).
+var trained struct {
+	once       sync.Once
+	snap       []byte
+	norm       datasets.Normalizer
+	classNames []string
+	err        error
+}
+
+// clusterModel returns the pipeline test model (same data, encoder and
+// options as the pipeline package's differential pins) — a fresh copy
+// per call of one model trained once per test binary — and generates the
 // replay capture.
 func clusterModel(t testing.TB) (*core.Model, *datasets.Normalizer, []string, []netflow.Packet) {
 	t.Helper()
-	train := datasets.CICIDS2017(1500, 21)
-	trainSet, _, norm := train.NormalizedSplit(0.9, 3)
-	m, err := core.Train(
-		encoder.NewRBF(trainSet.NumFeatures(), 512, 0, 5),
-		trainSet.X, trainSet.Y,
-		core.Options{Classes: trainSet.NumClasses(), Epochs: 8, RegenCycles: 3, RegenRate: 0.2, LearningRate: 0.1, Seed: 7},
-	)
+	trained.once.Do(func() {
+		train := datasets.CICIDS2017(1500, 21)
+		trainSet, _, norm := train.NormalizedSplit(0.9, 3)
+		m, err := core.Train(
+			encoder.NewRBF(trainSet.NumFeatures(), 512, 0, 5),
+			trainSet.X, trainSet.Y,
+			core.Options{Classes: trainSet.NumClasses(), Epochs: 8, RegenCycles: 3, RegenRate: 0.2, LearningRate: 0.1, Seed: 7},
+		)
+		if err != nil {
+			trained.err = err
+			return
+		}
+		var buf bytes.Buffer
+		trained.err = core.SaveSnapshot(&buf, core.NewCOWModel(m))
+		trained.snap, trained.norm, trained.classNames = buf.Bytes(), *norm, train.ClassNames
+	})
+	if trained.err != nil {
+		t.Fatal(trained.err)
+	}
+	m, _, err := core.DecodeSnapshot(bytes.NewReader(trained.snap))
 	if err != nil {
 		t.Fatal(err)
 	}
+	norm := &datasets.Normalizer{
+		Mean:   append([]float32(nil), trained.norm.Mean...),
+		InvStd: append([]float32(nil), trained.norm.InvStd...),
+	}
 	live := traffic.Generate(traffic.Config{Sessions: 400, Seed: 99})
-	return m, norm, train.ClassNames, live.Packets
+	return m, norm, append([]string(nil), trained.classNames...), live.Packets
 }
 
 // startWorkers brings up n loopback workers and returns their addresses
@@ -107,7 +136,7 @@ func TestClusterBitIdenticalToSingleProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stB, err := client.Runner(netflow.NewSliceSource(pkts), 1).Run(context.Background())
+	stB, err := (&pipeline.Runner{Stream: client, Source: netflow.NewSliceSource(pkts), TickInterval: 1}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +361,7 @@ func TestClusterShardedWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stB, err := client.Runner(netflow.NewSliceSource(pkts), 1).Run(context.Background())
+	stB, err := (&pipeline.Runner{Stream: client, Source: netflow.NewSliceSource(pkts), TickInterval: 1}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

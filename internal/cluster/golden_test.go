@@ -109,7 +109,7 @@ func TestClusterGoldenCaptureCompat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := client.Runner(netflow.NewSliceSource(pkts), 1).Run(context.Background())
+		st, err := (&pipeline.Runner{Stream: client, Source: netflow.NewSliceSource(pkts), TickInterval: 1}).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

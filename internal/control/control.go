@@ -131,7 +131,7 @@ type Config struct {
 
 // Plane is the model control plane over one serving COWModel. Build with
 // New, mount Handler on the admin endpoint
-// (telemetry.ListenAndServeWith). All handlers are safe for concurrent
+// (telemetry.ListenAndServe). All handlers are safe for concurrent
 // requests; upload validation runs outside the swap, so a slow or
 // rejected upload never stalls or perturbs serving.
 type Plane struct {

@@ -246,6 +246,27 @@ func TestPCAPSourceConstantMemory(t *testing.T) {
 	}
 }
 
+// TestPCAPWriterConstantMemory pins the writer side of the O(1) claim:
+// rendering a 30k-record PCAP allocates a small constant (writer, bufio
+// buffer, frame buffer), not one object per record.
+func TestPCAPWriterConstantMemory(t *testing.T) {
+	const n = 30_000
+	base := pcapTestPackets()
+	pkts := make([]Packet, n)
+	for i := range pkts {
+		pkts[i] = base[i%len(base)]
+		pkts[i].Time = RoundToNanos(float64(i) * 1e-3)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := WritePCAP(io.Discard, pkts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 32 {
+		t.Errorf("writing %d packets made %.0f allocations, want O(1)", n, allocs)
+	}
+}
+
 // TestPCAPRejectsGarbage pins the container-corruption error paths.
 func TestPCAPRejectsGarbage(t *testing.T) {
 	if _, err := NewPCAPSource(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8})); err == nil {

@@ -34,8 +34,11 @@ func RoundToNanos(t float64) float64 {
 // PCAPWriter streams packets as classic nanosecond PCAP frames in O(1)
 // memory — the interchange-format counterpart of CaptureWriter.
 type PCAPWriter struct {
-	bw     *bufio.Writer
-	frame  []byte
+	bw    *bufio.Writer
+	frame []byte
+	// rh is the record header under construction; a local array would
+	// escape through bufio.Writer.Write and allocate once per record.
+	rh     [16]byte
 	closed bool
 }
 
@@ -78,12 +81,12 @@ func (pw *PCAPWriter) Write(p *Packet) error {
 	if sec < 0 || sec > float64(^uint32(0)) {
 		return fmt.Errorf("netflow: PCAPWriter: timestamp %v outside the pcap epoch range", p.Time)
 	}
-	var rh [16]byte
+	rh := pw.rh[:]
 	binary.LittleEndian.PutUint32(rh[0:], uint32(sec))
 	binary.LittleEndian.PutUint32(rh[4:], uint32(ns))
 	binary.LittleEndian.PutUint32(rh[8:], uint32(len(frame)))
 	binary.LittleEndian.PutUint32(rh[12:], uint32(len(frame)))
-	if _, err := pw.bw.Write(rh[:]); err != nil {
+	if _, err := pw.bw.Write(rh); err != nil {
 		return err
 	}
 	_, err = pw.bw.Write(frame)

@@ -243,6 +243,10 @@ type Gate struct {
 	offered int                         // packets since the last state evaluation
 	evals   int                         // evaluations since the last idle sweep
 	lastLat [telemetry.NumLatencyBuckets]int64
+	// pkt is the gate-owned copy the policy hooks (TenantKey, OnDrop)
+	// see: handing them the address of the caller's packet would move
+	// every offered packet to the heap.
+	pkt netflow.Packet
 }
 
 // Gate implements the full Stream contract.
@@ -377,7 +381,8 @@ func (g *Gate) admit(p netflow.Packet, wait time.Duration) bool {
 		g.evaluate()
 	}
 	if g.pol.TenantRate > 0 {
-		key := g.pol.TenantKey(&p)
+		g.pkt = p
+		key := g.pol.TenantKey(&g.pkt)
 		b := g.buckets[key]
 		if b == nil {
 			b = &tokenBucket{tokens: g.pol.TenantBurst, last: p.Time}
@@ -421,14 +426,15 @@ func (g *Gate) admit(p netflow.Packet, wait time.Duration) bool {
 // attribution, so every shed packet is billable to the tenant that
 // offered it. Caller holds the gate lock.
 func (g *Gate) drop(p netflow.Packet, r telemetry.DropReason) {
-	key := g.pol.TenantKey(&p)
+	g.pkt = p
+	key := g.pol.TenantKey(&g.pkt)
 	g.tel.AddDropped(r, 1)
 	g.tel.AddDroppedTenant(key, 1)
 	if g.labels != nil && key >= 1<<32 {
-		g.recordTenantLabel(&p, key)
+		g.recordTenantLabel(&g.pkt, key)
 	}
 	if g.pol.OnDrop != nil {
-		g.pol.OnDrop(p, r)
+		g.pol.OnDrop(g.pkt, r)
 	}
 }
 

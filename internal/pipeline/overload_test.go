@@ -365,31 +365,30 @@ func TestP99Since(t *testing.T) {
 	}
 }
 
-// TestRunnerInstallsGateOnlyWhenBounded pins the opt-in: the zero
-// policy serves the bare engine (bit-identical lossless path), bounded
-// mode wraps it in the gate.
+// TestRunnerInstallsGateOnlyWhenBounded pins the opt-in: for the stream
+// a runner drives, NewStream under the zero policy builds the bare
+// engine (bit-identical lossless path), bounded mode wraps it in the
+// gate.
 func TestRunnerInstallsGateOnlyWhenBounded(t *testing.T) {
 	cfg := fastCfg(stubModel{})
-	src := netflow.NewSliceSource(nil)
-	r, err := NewRunner(cfg, src)
+	s, err := NewStream(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, gated := r.Stream.(*Gate); gated {
+	if _, gated := s.(*Gate); gated {
 		t.Fatal("lossless default installed a gate")
 	}
-	if _, ok := r.Stream.(*Engine); !ok {
-		t.Fatalf("lossless runner stream is %T, want *Engine", r.Stream)
+	if _, ok := s.(*Engine); !ok {
+		t.Fatalf("lossless stream is %T, want *Engine", s)
 	}
 	cfg.Overload.Mode = OverloadBounded
-	r, err = NewRunner(cfg, netflow.NewSliceSource(nil))
-	if err != nil {
+	if s, err = NewStream(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.Stream.(*Gate); !ok {
-		t.Fatalf("bounded runner stream is %T, want *Gate", r.Stream)
+	if _, ok := s.(*Gate); !ok {
+		t.Fatalf("bounded stream is %T, want *Gate", s)
 	}
-	r.Stream.Close()
+	s.Close()
 }
 
 // TestGatePermissiveBoundedBitIdentical pins determinism under the
@@ -428,7 +427,6 @@ func TestBoundedSaturationAccounting(t *testing.T) {
 	cfg := fastCfg(slowModel{delay: 200 * time.Microsecond})
 	cfg.Shards = 2
 	cfg.ShardBuffer = 4
-	cfg.TickInterval = -1 // pure feed pressure, no tick messages in the buffers
 	cfg.Overload = OverloadPolicy{
 		Mode:      OverloadBounded,
 		MaxWait:   50 * time.Microsecond,
@@ -437,10 +435,8 @@ func TestBoundedSaturationAccounting(t *testing.T) {
 	live := traffic.Generate(traffic.Config{Sessions: 300, Seed: 5})
 	offered := len(live.Packets)
 
-	r, err := NewRunner(cfg, netflow.NewSliceSource(live.Packets))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := streamRunner(t, cfg, netflow.NewSliceSource(live.Packets))
+	r.TickInterval = -1 // pure feed pressure, no tick messages in the buffers
 	start := time.Now()
 	st, err := r.Run(context.Background())
 	if err != nil {
@@ -459,7 +455,7 @@ func TestBoundedSaturationAccounting(t *testing.T) {
 		t.Fatalf("tenant-rate drops = %d with no tenant rate configured",
 			st.Dropped[telemetry.DropTenantRate])
 	}
-	snap := r.Telemetry().Snapshot()
+	snap := r.Stream.Telemetry().Snapshot()
 	if int(snap.DroppedTotal()) != st.DroppedTotal() {
 		t.Fatalf("telemetry dropped %d != stats dropped %d", snap.DroppedTotal(), st.DroppedTotal())
 	}
@@ -486,6 +482,40 @@ func BenchmarkOverloadIngress(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.Time = float64(i) * 1e-6
 		g.Feed(p)
+	}
+}
+
+// TestGateFeedDoesNotAllocate pins the gate's admission path at zero
+// allocations per packet, both for a packet it admits and for one it
+// drops: the tenant-key and drop hooks see a gate-owned copy, so the
+// offered packet never moves to the heap.
+func TestGateFeedDoesNotAllocate(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		pol     OverloadPolicy
+		dropped bool
+	}{
+		{"admitted", OverloadPolicy{TenantRate: 1e12}, false},
+		{"dropped", OverloadPolicy{TenantRate: 1e-9, TenantBurst: 1,
+			OnDrop: func(netflow.Packet, telemetry.DropReason) {}}, true},
+	} {
+		eng, err := New(fastCfg(stubModel{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := NewGate(eng, tc.pol)
+		p := tcpPkt(1, 2, 10, 20, 0, 0)
+		g.Feed(p) // the first packet creates the flow and the tenant bucket
+		allocs := testing.AllocsPerRun(500, func() {
+			p.Time += 1e-6
+			g.Feed(p)
+		})
+		if allocs != 0 {
+			t.Errorf("%s packet: %v allocs per Feed, want 0", tc.name, allocs)
+		}
+		if dropped := g.Stats().DroppedTotal(); (dropped > 0) != tc.dropped {
+			t.Errorf("%s packet: %d drops counted", tc.name, dropped)
+		}
 	}
 }
 

@@ -149,45 +149,29 @@ type Config struct {
 	// the engine's alert contract: serialized, in verdict order (per shard
 	// for Sharded). Sinks must not call Feed, Tick, Flush or Close.
 	Sinks []AlertSink
-	// TickInterval is the auto-tick period in capture seconds used by
-	// Runner and Serve: the runner calls Tick as packet timestamps cross
-	// each interval boundary, so idle flows evict and partial micro-batches
-	// drain without caller cooperation. 0 selects 1 s; negative disables
-	// auto-ticking. Engines themselves never tick spontaneously.
-	TickInterval float64
 	// Telemetry, when set, is the collector the engine records into —
 	// share one collector with a telemetry.Server (or any other observer)
 	// to watch the run live. Its class count must match ClassNames. Nil
 	// builds a private collector, reachable through Stream.Telemetry.
 	// A Sharded engine shares one collector across all shards.
 	Telemetry *telemetry.Collector
-	// Progress, when set, receives telemetry snapshots from Runner and
-	// Serve as packet timestamps cross each ProgressInterval boundary of
-	// the capture clock, plus one final settled snapshot after the drain.
-	// It runs on the runner's goroutine and must not call back into the
-	// stream's Feed, Tick, Flush or Close. Engines ignore it.
-	Progress func(telemetry.Snapshot)
-	// ProgressInterval is the Progress cadence in capture seconds used by
-	// Runner and Serve: 0 selects 10 s, negative disables periodic
-	// snapshots (the final settled snapshot still fires).
-	ProgressInterval float64
 	// Shards is the worker count of NewSharded (<= 0 selects
-	// runtime.GOMAXPROCS). NewStream (and so NewRunner) treats sharding
-	// as explicit: only Shards > 1 builds the sharded engine, anything
-	// else serves the deterministic single-core Engine — resolve "one per
-	// core" yourself (runtime.GOMAXPROCS(0), or the facade's
-	// WithShards(0)) before handing the config over. Ignored by New.
+	// runtime.GOMAXPROCS). NewStream treats sharding as explicit: only
+	// Shards > 1 builds the sharded engine, anything else serves the
+	// deterministic single-core Engine — resolve "one per core" yourself
+	// (runtime.GOMAXPROCS(0)) before handing the config over. Ignored by
+	// New.
 	Shards int
 	// ShardBuffer is the bounded ingress buffer per shard for NewSharded
 	// (<= 0 selects 1024). Ignored by New.
 	ShardBuffer int
-	// Overload is the ingress admission policy applied by NewStream (and
-	// so by NewRunner and the facade's Serve). The zero value is the
-	// lossless default: no gate is installed and serving is bit-identical
-	// to every release before the overload control plane existed.
-	// Overload.Mode == OverloadBounded wraps the engine in a Gate — see
-	// OverloadPolicy. Ignored by New and NewSharded themselves (wrap with
-	// NewGate by hand when driving an engine directly).
+	// Overload is the ingress admission policy applied by NewStream. The
+	// zero value is the lossless default: no gate is installed and
+	// serving is bit-identical to every release before the overload
+	// control plane existed. Overload.Mode == OverloadBounded wraps the
+	// engine in a Gate — see OverloadPolicy. Ignored by New and
+	// NewSharded themselves (wrap with NewGate by hand when driving an
+	// engine directly).
 	Overload OverloadPolicy
 }
 

@@ -16,8 +16,7 @@ import (
 // timestamps so idle-flow eviction and micro-batch draining never depend
 // on caller cooperation, and closes (drains) the stream when the source
 // ends or the context cancels. Alerts flow to the engine's OnAlert and
-// Config.Sinks as usual — build the stream with NewRunner (or the facade's
-// Serve) to wire sinks in one step.
+// Config.Sinks as usual; NewStream builds the stream a Config describes.
 //
 // A Runner drives one source into one stream exactly once; build a new
 // one per run. Verdicts are bit-identical to hand-feeding the same
@@ -29,8 +28,11 @@ type Runner struct {
 	Stream Stream
 	// Source supplies the time-ordered packets. Required.
 	Source netflow.PacketSource
-	// TickInterval overrides the auto-tick period in capture seconds
-	// (see Config.TickInterval): 0 selects 1 s, negative disables.
+	// TickInterval is the auto-tick period in capture seconds: Run calls
+	// Tick as packet timestamps cross each interval boundary, so idle
+	// flows evict and partial micro-batches drain without caller
+	// cooperation. 0 selects 1 s; negative disables auto-ticking.
+	// Engines themselves never tick spontaneously.
 	TickInterval float64
 	// Progress, when set, receives a telemetry snapshot as packet
 	// timestamps cross each ProgressInterval boundary of the capture
@@ -45,46 +47,6 @@ type Runner struct {
 
 	// ran guards single-use: a second Run would re-drive a closed stream.
 	ran bool
-}
-
-// Snapshot reads the driven stream's counters — safe from any goroutine
-// while Run is pumping. Zero stats before the runner has a stream.
-func (r *Runner) Snapshot() Stats {
-	if r.Stream == nil {
-		return Stats{}
-	}
-	return r.Stream.Stats()
-}
-
-// Telemetry returns the driven stream's collector — the live handle for
-// mid-run observation (snapshots, latency histogram, Prometheus export).
-// Nil before the runner has a stream.
-func (r *Runner) Telemetry() *telemetry.Collector {
-	if r.Stream == nil {
-		return nil
-	}
-	return r.Stream.Telemetry()
-}
-
-// NewRunner builds the stream cfg describes (NewStream: the sharded
-// engine only for cfg.Shards > 1, the bounded Gate only for
-// cfg.Overload.Mode == OverloadBounded) and a runner that will pump src
-// through it. For one shard per core pass runtime.GOMAXPROCS(0) — the
-// facade's WithShards(0) resolves to exactly that. Alert fan-out comes
-// from cfg.OnAlert and cfg.Sinks; the auto-tick period from
-// cfg.TickInterval.
-func NewRunner(cfg Config, src netflow.PacketSource) (*Runner, error) {
-	if src == nil {
-		return nil, fmt.Errorf("pipeline: nil packet source")
-	}
-	s, err := NewStream(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Runner{
-		Stream: s, Source: src, TickInterval: cfg.TickInterval,
-		Progress: cfg.Progress, ProgressInterval: cfg.ProgressInterval,
-	}, nil
 }
 
 // Run pumps packets from the source into the stream until the source is

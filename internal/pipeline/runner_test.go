@@ -29,6 +29,17 @@ func statsEqual(t *testing.T, name string, got, want Stats) {
 	}
 }
 
+// streamRunner builds the stream cfg describes (NewStream) and a Runner
+// that will pump src through it.
+func streamRunner(t testing.TB, cfg Config, src netflow.PacketSource) *Runner {
+	t.Helper()
+	s, err := NewStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Runner{Stream: s, Source: src}
+}
+
 // directDrive replays packets the way every pre-Runner caller did: a
 // hand-rolled feed loop with no ticks, then a drain.
 func directDrive(t *testing.T, cfg Config, packets []netflow.Packet) Stats {
@@ -75,11 +86,7 @@ func TestRunnerMatchesDirectDrive(t *testing.T) {
 			tc.mut(&cfg)
 			want := directDrive(t, cfg, live.Packets)
 
-			r, err := NewRunner(cfg, netflow.NewSliceSource(live.Packets))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := r.Run(context.Background())
+			got, err := streamRunner(t, cfg, netflow.NewSliceSource(live.Packets)).Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,10 +132,7 @@ func TestRunnerCancelDrainsDeterministically(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	src := &cancelAfterSource{src: netflow.NewSliceSource(live.Packets), n: n, cancel: cancel}
-	r, err := NewRunner(cfg, src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := streamRunner(t, cfg, src)
 	got, err := r.Run(ctx)
 	if err != context.Canceled {
 		t.Fatalf("Run error = %v, want context.Canceled", err)
@@ -281,11 +285,7 @@ func (f *failingSource) Next(p *netflow.Packet) error {
 // stream (the fed packets' flows classify) and surfaces the wrapped error.
 func TestRunnerSourceErrorDrains(t *testing.T) {
 	cfg := trivialConfig()
-	r, err := NewRunner(cfg, &failingSource{n: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := r.Run(context.Background())
+	st, err := streamRunner(t, cfg, &failingSource{n: 3}).Run(context.Background())
 	if err == nil || err == io.EOF {
 		t.Fatalf("Run error = %v, want the source failure", err)
 	}
@@ -297,12 +297,12 @@ func TestRunnerSourceErrorDrains(t *testing.T) {
 // TestRunnerNilValidation covers the constructor and Run guards.
 func TestRunnerNilValidation(t *testing.T) {
 	cfg := trivialConfig()
-	if _, err := NewRunner(cfg, nil); err == nil {
+	if _, err := streamRunner(t, cfg, nil).Run(context.Background()); err == nil {
 		t.Fatal("nil source accepted")
 	}
 	bad := cfg
 	bad.Model = nil
-	if _, err := NewRunner(bad, netflow.NewSliceSource(nil)); err == nil {
+	if _, err := NewStream(bad); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 	r := &Runner{}
@@ -330,33 +330,31 @@ func TestRunnerConcurrentStream(t *testing.T) {
 	statsEqual(t, "concurrent", got, want)
 }
 
-// TestNewRunnerEngineSelection pins the shard-count contract: sharding
+// TestNewStreamEngineSelection pins the shard-count contract: sharding
 // is explicit — only Shards > 1 builds the Sharded engine; 0 and 1 both
 // serve the deterministic synchronous Engine (per-core sharding is
-// resolved by the caller, e.g. the facade's WithShards(0)).
-func TestNewRunnerEngineSelection(t *testing.T) {
+// resolved by the caller, e.g. the CLI's -shards 0).
+func TestNewStreamEngineSelection(t *testing.T) {
 	cfg := trivialConfig()
-	src := func() netflow.PacketSource { return netflow.NewSliceSource(nil) }
-
 	for _, n := range []int{0, 1} {
 		cfg.Shards = n
-		r, err := NewRunner(cfg, src())
+		s, err := NewStream(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := r.Stream.(*Engine); !ok {
-			t.Fatalf("Shards=%d built %T, want *Engine", n, r.Stream)
+		if _, ok := s.(*Engine); !ok {
+			t.Fatalf("Shards=%d built %T, want *Engine", n, s)
 		}
 	}
 
 	cfg.Shards = 4
-	r, err := NewRunner(cfg, src())
+	s, err := NewStream(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, ok := r.Stream.(*Sharded)
+	sh, ok := s.(*Sharded)
 	if !ok {
-		t.Fatalf("Shards=4 built %T, want *Sharded", r.Stream)
+		t.Fatalf("Shards=4 built %T, want *Sharded", s)
 	}
 	if sh.NumShards() != 4 {
 		t.Fatalf("built %d shards, want 4", sh.NumShards())

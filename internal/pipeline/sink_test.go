@@ -171,15 +171,12 @@ func TestRateLimitSuppressedInTelemetry(t *testing.T) {
 		c := cfg
 		c.Shards = shards
 		c.Sinks = []AlertSink{rl}
-		r, err := NewRunner(c, netflow.NewSliceSource(live.Packets))
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := streamRunner(t, c, netflow.NewSliceSource(live.Packets))
 		st, err := r.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap := r.Telemetry().Snapshot()
+		snap := r.Stream.Telemetry().Snapshot()
 		if snap.Suppressed == 0 {
 			t.Fatalf("shards=%d: no suppressions recorded on an alert-heavy capture (alerts=%d)", shards, st.Alerts)
 		}
@@ -223,11 +220,7 @@ func TestShardedSerializesSinks(t *testing.T) {
 	var fromCb, fromSink int
 	cfg.OnAlert = func(a Alert) { fromCb++ }
 	cfg.Sinks = []AlertSink{SinkFunc(func(a Alert) { fromSink++ })}
-	r, err := NewRunner(cfg, netflow.NewSliceSource(live.Packets))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := r.Run(context.Background())
+	st, err := streamRunner(t, cfg, netflow.NewSliceSource(live.Packets)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

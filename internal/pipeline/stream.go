@@ -87,7 +87,8 @@ var (
 )
 
 // NewStream builds the local engine cfg describes — the one
-// engine-selection rule shared by NewRunner and the cluster worker.
+// engine-selection rule shared by every local serving path and the
+// cluster worker.
 // Sharding is an explicit choice, not a default: cfg.Shards > 1 builds
 // the flow-sharded multi-core engine with that many shards (stats stay
 // bit-identical, but alert interleaving across shards is

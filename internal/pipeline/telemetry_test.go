@@ -269,7 +269,7 @@ func TestVerdictLatencyHistogram(t *testing.T) {
 	})
 }
 
-// TestConfigTelemetryShared pins the WithTelemetry path: a caller-supplied
+// TestConfigTelemetryShared pins Config.Telemetry: a caller-supplied
 // collector sees the engine's counters (that is what an admin server
 // scrapes), and a class-count mismatch is rejected up front.
 func TestConfigTelemetryShared(t *testing.T) {
@@ -304,14 +304,11 @@ func TestConfigTelemetryShared(t *testing.T) {
 // cadence, with a final settled snapshot equal to the returned stats.
 func TestRunnerProgress(t *testing.T) {
 	cfg, live := buildModel(t)
-	cfg.ProgressInterval = 5
+	r := streamRunner(t, cfg, netflow.NewSliceSource(live.Packets))
 	var snaps []telemetry.Snapshot
-	cfg.Progress = func(s telemetry.Snapshot) { snaps = append(snaps, s) }
-	r, err := NewRunner(cfg, netflow.NewSliceSource(live.Packets))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Telemetry() == nil {
+	r.Progress = func(s telemetry.Snapshot) { snaps = append(snaps, s) }
+	r.ProgressInterval = 5
+	if r.Stream.Telemetry() == nil {
 		t.Fatal("runner has no live telemetry handle")
 	}
 	st, err := r.Run(context.Background())
@@ -336,16 +333,13 @@ func TestRunnerProgress(t *testing.T) {
 	}
 }
 
-// TestRunnerSnapshotMidRun reads the runner's live handle from another
-// goroutine while Run is pumping (the admin-endpoint access pattern).
-// Run with -race.
+// TestRunnerSnapshotMidRun reads the driven stream's counters and
+// collector from another goroutine while Run is pumping (the
+// admin-endpoint access pattern). Run with -race.
 func TestRunnerSnapshotMidRun(t *testing.T) {
 	cfg, live := buildModel(t)
 	cfg.Shards = 2
-	r, err := NewRunner(cfg, netflow.NewSliceSource(live.Packets))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := streamRunner(t, cfg, netflow.NewSliceSource(live.Packets))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -357,8 +351,8 @@ func TestRunnerSnapshotMidRun(t *testing.T) {
 				return
 			default:
 			}
-			_ = r.Snapshot()
-			_ = r.Telemetry().Snapshot()
+			_ = r.Stream.Stats()
+			_ = r.Stream.Telemetry().Snapshot()
 		}
 	}()
 	st, err := r.Run(context.Background())

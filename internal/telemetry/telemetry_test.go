@@ -210,7 +210,7 @@ func TestServerEndpoints(t *testing.T) {
 	c.AddPackets(3)
 	c.FlowCompleted()
 	c.Verdict(1, true, 0.1)
-	srv, err := ListenAndServe("127.0.0.1:0", c)
+	srv, err := ListenAndServe("127.0.0.1:0", c.Snapshot, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

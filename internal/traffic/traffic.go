@@ -111,6 +111,20 @@ func Generate(cfg Config) *Stream {
 	return &Stream{Packets: sortByTime(g.pkts), Labels: g.labels}
 }
 
+// meanPackets is the expected packet count of one session per label,
+// read off the session generators below (benign averages its four
+// session kinds). generate sizes the packet slice from it.
+var meanPackets = [NumLabels]float64{
+	Benign:       110,
+	DoS:          318,
+	DDoS:         99.5,
+	PortScan:     24.5,
+	BruteForce:   85.5,
+	WebAttack:    15,
+	Botnet:       55,
+	Infiltration: 107,
+}
+
 // generate runs every session of cfg, leaving the packets in emission
 // order (session by session).
 func generate(cfg Config) *gen {
@@ -130,8 +144,20 @@ func generate(cfg Config) *gen {
 			weights[l] = w
 		}
 	}
+	var wsum, perSession float64
+	for l, w := range weights {
+		wsum += w
+		perSession += w * meanPackets[l]
+	}
+	hint := 0
+	if wsum > 0 {
+		// 1/16 headroom over the expected count absorbs sampling spread,
+		// so the packet slice is allocated once and never regrown.
+		hint = int(float64(cfg.Sessions) * perSession / wsum * 17 / 16)
+	}
 	g := &gen{
 		r:        rng.New(cfg.Seed),
+		pkts:     make([]netflow.Packet, 0, hint),
 		labels:   make(map[netflow.FlowKey]Label),
 		nextPort: 10000,
 		nextHost: netflow.IPv4(10, 1, 0, 1).V4(),

@@ -228,3 +228,20 @@ func TestGeneratePinned(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateSizesPacketsOnce pins the packet slice's capacity hint:
+// for every single-label mix and the default mix, generate allocates the
+// slice once (no regrowth past the hint) and over-allocates by little.
+func TestGenerateSizesPacketsOnce(t *testing.T) {
+	mixes := []map[Label]float64{nil}
+	for l := Label(0); l < numLabels; l++ {
+		mixes = append(mixes, map[Label]float64{l: 1})
+	}
+	for _, mix := range mixes {
+		g := generate(Config{Sessions: 2000, Seed: 5, Mix: mix})
+		n, c := len(g.pkts), cap(g.pkts)
+		if c < n || float64(c) > 1.15*float64(n) {
+			t.Errorf("mix %v: %d packets in capacity %d, want one allocation within 15%%", mix, n, c)
+		}
+	}
+}

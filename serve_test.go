@@ -3,8 +3,9 @@ package cyberhd
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"io"
 	"net/http"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -19,40 +20,19 @@ func serveDetector(t *testing.T) *Detector {
 	return det
 }
 
-// TestEngineOptionsCompose pins the builder form of EngineConfig: every
-// option lands on its field, over the detector's base config.
-func TestEngineOptionsCompose(t *testing.T) {
-	det := serveDetector(t)
-	onAlert := func(Alert) {}
-	sink := SinkFunc(func(Alert) {})
-	cfg := det.EngineConfig(
-		WithBatchSize(64),
-		WithQuantized(W4),
-		WithShards(8),
-		WithShardBuffer(256),
-		WithBenignClass(0),
-		WithFlowTimeouts(60, 2),
-		WithOnAlert(onAlert),
-		WithSinks(sink),
-		WithTickInterval(5),
-	)
-	if cfg.Model != det.Model || cfg.Normalizer != det.Normalizer {
-		t.Fatal("detector base config not applied")
+// directStats hand-drives every packet through the stream cfg describes
+// and returns the drained stats.
+func directStats(t *testing.T, cfg EngineConfig, pkts []Packet) EngineStats {
+	t.Helper()
+	s, err := NewStream(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cfg.BatchSize != 64 || cfg.Quantize != W4 || cfg.Shards != 8 || cfg.ShardBuffer != 256 {
-		t.Fatalf("engine options not applied: %+v", cfg)
+	for i := range pkts {
+		s.Feed(pkts[i])
 	}
-	if cfg.IdleTimeout != 60 || cfg.ActivityGap != 2 || cfg.TickInterval != 5 {
-		t.Fatalf("timing options not applied: %+v", cfg)
-	}
-	if cfg.OnAlert == nil || len(cfg.Sinks) != 1 {
-		t.Fatal("alert options not applied")
-	}
-	// WithShards(0) resolves to one shard per core at option time, so the
-	// stored config says what will actually run.
-	if got := det.EngineConfig(WithShards(0)).Shards; got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("WithShards(0) = %d shards, want GOMAXPROCS", got)
-	}
+	s.Close()
+	return s.Stats()
 }
 
 // TestServeMatchesDirectEngine pins the one-call path end to end: Serve
@@ -62,20 +42,17 @@ func TestServeMatchesDirectEngine(t *testing.T) {
 	det := serveDetector(t)
 	live := GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77})
 
-	eng, err := NewEngine(det.EngineConfig(WithBatchSize(32)))
-	if err != nil {
-		t.Fatal(err)
+	cfg := det.EngineConfig()
+	if cfg.Model != det.Model || cfg.Normalizer != det.Normalizer || len(cfg.ClassNames) != len(det.ClassNames) {
+		t.Fatal("EngineConfig does not carry the detector's model, normalizer and class names")
 	}
-	for i := range live.Packets {
-		eng.Feed(live.Packets[i])
-	}
-	eng.Close()
-	want := eng.Stats()
+	cfg.BatchSize = 32
+	want := directStats(t, cfg, live.Packets)
 
 	var jsonl bytes.Buffer
 	sink := NewJSONLSink(&jsonl)
-	got, err := det.Serve(context.Background(), NewSliceSource(live.Packets),
-		WithBatchSize(32), WithSinks(sink))
+	cfg.Sinks = []AlertSink{sink}
+	got, err := Serve(context.Background(), cfg, NewSliceSource(live.Packets))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,18 +84,11 @@ func TestServeShardedQuantized(t *testing.T) {
 	det := serveDetector(t)
 	live := GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77})
 
-	sh, err := NewShardedEngine(det.EngineConfig(WithShards(4), WithBatchSize(32), WithQuantized(W8)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range live.Packets {
-		sh.Feed(live.Packets[i])
-	}
-	sh.Close()
-	want := sh.Stats()
+	cfg := det.EngineConfig()
+	cfg.Shards, cfg.BatchSize, cfg.Quantize = 4, 32, W8
+	want := directStats(t, cfg, live.Packets)
 
-	got, err := Serve(context.Background(), det, NewSliceSource(live.Packets),
-		WithShards(4), WithBatchSize(32), WithQuantized(W8))
+	got, err := Serve(context.Background(), cfg, NewSliceSource(live.Packets))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,18 +98,21 @@ func TestServeShardedQuantized(t *testing.T) {
 }
 
 // TestServeCancel pins that the facade surfaces cancellation with the
-// partial stats.
+// partial stats, and that a nil source is refused up front.
 func TestServeCancel(t *testing.T) {
 	det := serveDetector(t)
 	live := GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the first packet
-	st, err := det.Serve(ctx, NewSliceSource(live.Packets))
+	st, err := Serve(ctx, det.EngineConfig(), NewSliceSource(live.Packets))
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if st.Packets != 0 {
 		t.Fatalf("fed %d packets under a dead context", st.Packets)
+	}
+	if _, err := Serve(context.Background(), det.EngineConfig(), nil); err == nil {
+		t.Fatal("nil source accepted")
 	}
 }
 
@@ -148,11 +121,11 @@ func TestServeCancel(t *testing.T) {
 func TestServeReplayTraffic(t *testing.T) {
 	det := serveDetector(t)
 	live := GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77})
-	a, err := det.Serve(context.Background(), NewSliceSource(live.Packets))
+	a, err := Serve(context.Background(), det.EngineConfig(), NewSliceSource(live.Packets))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := det.Serve(context.Background(), ReplayTraffic(live, 0))
+	b, err := Serve(context.Background(), det.EngineConfig(), ReplayTraffic(live, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,20 +134,54 @@ func TestServeReplayTraffic(t *testing.T) {
 	}
 }
 
-// TestServeWithMetrics runs the one-call metrics path: the admin endpoint
-// is scrapeable during the run (healthz) and its final counters match the
-// returned stats exactly; Prometheus output is well-formed.
+// TestServeWithMetrics serves a run behind a live admin endpoint: the
+// endpoint answers /healthz before the first packet, the engine and the
+// endpoint share one collector, the runner's progress snapshots end on
+// the settled totals, and the scraped /metrics page reports exactly the
+// returned stats.
 func TestServeWithMetrics(t *testing.T) {
 	det := serveDetector(t)
 	live := GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77})
 
-	// Share a collector so counters stay readable after the endpoint
-	// closed with the run.
 	tel := NewTelemetry(det.ClassNames)
+	srv, err := ServeMetrics("127.0.0.1:0", tel.Snapshot, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get("http://" + srv.Addr() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s status %d", path, resp.StatusCode)
+		}
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	if body := get("/healthz"); body != "ok\n" {
+		t.Fatalf("/healthz = %q", body)
+	}
+
+	cfg := det.EngineConfig()
+	cfg.Telemetry, cfg.BatchSize = tel, 16
+	stream, err := NewStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var snaps []TelemetrySnapshot
-	st, err := det.ServeWithMetrics(context.Background(), "127.0.0.1:0", NewSliceSource(live.Packets),
-		WithTelemetry(tel), WithBatchSize(16),
-		WithProgress(5, func(s TelemetrySnapshot) { snaps = append(snaps, s) }))
+	r := &Runner{
+		Stream: stream, Source: NewSliceSource(live.Packets),
+		ProgressInterval: 5,
+		Progress:         func(s TelemetrySnapshot) { snaps = append(snaps, s) },
+	}
+	st, err := r.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,100 +195,61 @@ func TestServeWithMetrics(t *testing.T) {
 	if last := snaps[len(snaps)-1]; last.Packets != final.Packets {
 		t.Fatalf("final progress snapshot %d packets, want %d", last.Packets, final.Packets)
 	}
-	var prom strings.Builder
-	if err := final.WritePrometheus(&prom); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(prom.String(), "cyberhd_flows_total") {
-		t.Fatalf("prometheus output missing flows:\n%s", prom.String())
-	}
-
-	// The live endpoint itself: scrape while a (tiny) run is in flight —
-	// ListenAndServe guarantees the listener is accepting before Serve
-	// pumps, so /healthz during the run can never miss.
-	tel2 := NewTelemetry(det.ClassNames)
-	srv, err := ServeMetrics("127.0.0.1:0", tel2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get("http://" + srv.Addr() + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("healthz status %d", resp.StatusCode)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := det.Serve(context.Background(), NewSliceSource(live.Packets), WithTelemetry(tel2)); err != nil {
-		t.Fatal(err)
-	}
-	if tel2.Snapshot().Packets == 0 {
-		t.Fatal("shared collector saw no traffic")
+	page := get("/metrics")
+	for _, want := range []string{
+		fmt.Sprintf("cyberhd_packets_total %d\n", st.Packets),
+		fmt.Sprintf("cyberhd_flows_total %d\n", st.Flows),
+		fmt.Sprintf("cyberhd_alerts_total %d\n", st.Alerts),
+	} {
+		if !strings.Contains(page, want) {
+			t.Fatalf("/metrics missing %q:\n%s", want, page)
+		}
 	}
 }
 
 // TestServeWithMetricsBadAddr pins the error path: an unbindable address
 // fails up front instead of serving blind.
 func TestServeWithMetricsBadAddr(t *testing.T) {
-	det := serveDetector(t)
-	live := GenerateTraffic(TrafficConfig{Sessions: 10, Seed: 1})
-	if _, err := det.ServeWithMetrics(context.Background(), "256.0.0.1:99999", NewSliceSource(live.Packets)); err == nil {
+	tel := NewTelemetry([]string{"benign"})
+	if srv, err := ServeMetrics("256.0.0.1:99999", tel.Snapshot, nil); err == nil {
+		srv.Close()
 		t.Fatal("bound an impossible address")
 	}
 }
 
-// TestOverloadOptionsMatchStruct pins satellite-free equivalence of the
-// two construction paths: WithOverloadPolicy/WithTenantKey/
-// WithDropCallback land on the same EngineConfig.Overload fields a
-// struct-literal caller sets, both paths install the same Gate through
-// NewServeRunner, and a permissive bounded policy over the synchronous
-// engine serves verdicts bit-identical to the lossless default with
-// every drop counter at zero.
-func TestOverloadOptionsMatchStruct(t *testing.T) {
+// TestBoundedPolicyMatchesLossless pins the overload opt-in through
+// EngineConfig: a bounded policy (tenant key and drop callback included)
+// makes NewStream install a Gate, and a permissive bounded policy over
+// the synchronous engine serves verdicts bit-identical to the lossless
+// default with every drop counter at zero.
+func TestBoundedPolicyMatchesLossless(t *testing.T) {
 	det := serveDetector(t)
 	live := GenerateTraffic(TrafficConfig{Sessions: 200, Seed: 31})
 
-	tenant := func(p *Packet) uint64 { return uint64(p.SrcIP.V4()) }
-	onDrop := func(Packet, DropReason) {}
-	viaOpts := det.EngineConfig(
-		WithOverloadPolicy(OverloadPolicy{Mode: OverloadBounded, TenantRate: 5}),
-		WithTenantKey(tenant),
-		WithDropCallback(onDrop),
-	)
-	viaStruct := det.EngineConfig()
-	viaStruct.Overload = OverloadPolicy{Mode: OverloadBounded, TenantRate: 5}
-	viaStruct.Overload.TenantKey = tenant
-	viaStruct.Overload.OnDrop = onDrop
-
-	if viaOpts.Overload.Mode != viaStruct.Overload.Mode ||
-		viaOpts.Overload.TenantRate != viaStruct.Overload.TenantRate {
-		t.Fatalf("option path %+v != struct path %+v", viaOpts.Overload, viaStruct.Overload)
+	cfg := det.EngineConfig()
+	cfg.Overload = OverloadPolicy{
+		Mode:       OverloadBounded,
+		TenantRate: 5,
+		TenantKey:  func(p *Packet) uint64 { return uint64(p.SrcIP.V4()) },
+		OnDrop:     func(Packet, DropReason) {},
 	}
-	if viaOpts.Overload.TenantKey == nil || viaOpts.Overload.OnDrop == nil {
-		t.Fatal("WithTenantKey/WithDropCallback did not land on the policy")
-	}
-	for name, cfg := range map[string]EngineConfig{"options": viaOpts, "struct": viaStruct} {
-		r, err := NewServeRunner(cfg, NewSliceSource(nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := r.Stream.(*Gate); !ok {
-			t.Fatalf("%s path: bounded policy built %T, want *Gate", name, r.Stream)
-		}
-		r.Stream.Close()
-	}
-
-	// Functional equivalence: lossless default vs permissive bounded
-	// policy (no tenant rate, synchronous engine that always admits).
-	want, err := det.Serve(context.Background(), NewSliceSource(live.Packets))
+	s, err := NewStream(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := det.Serve(context.Background(), NewSliceSource(live.Packets),
-		WithOverloadPolicy(OverloadPolicy{Mode: OverloadBounded}))
+	if _, ok := s.(*Gate); !ok {
+		t.Fatalf("bounded policy built %T, want *Gate", s)
+	}
+	s.Close()
+
+	// Functional equivalence: lossless default vs permissive bounded
+	// policy (no tenant rate, synchronous engine that always admits).
+	want, err := Serve(context.Background(), det.EngineConfig(), NewSliceSource(live.Packets))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Overload = OverloadPolicy{Mode: OverloadBounded}
+	got, err := Serve(context.Background(), cfg, NewSliceSource(live.Packets))
 	if err != nil {
 		t.Fatal(err)
 	}
